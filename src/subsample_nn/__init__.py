@@ -6,19 +6,18 @@ from .analysis import (ConfusionMatrix, LayerErrorProfile, TrainReport,
 from .alsh import (ActiveSet, AlshIndex, AlshParams, build_index,
                    collision_probability, query_active, rebuild_index,
                    rebuild_schedule, transform_data, transform_query)
-from .data import Dataset, Split, load_idx, split, synth_blobs, synth_digits, to_csv, write_idx
+from .data import Dataset, Split, load_idx, split, synth_blobs, synth_digits, write_idx
 from .errors import (DegenerateInputError, DimensionError, FormatError,
                      NormBoundError, NumericError, ParameterError,
                      PreconditionError, SubsampleNNError)
-from .linalg import FLOPS, col_norms, matmul, row_norms, stream, vecmat
+from .linalg import FLOPS, col_norms, matmul, row_norms, stream
 from .mc import (SamplePlan, approx_matmul_bernoulli, approx_matmul_cr,
                  bernoulli_error, optimal_probs_bernoulli, optimal_probs_cr)
 from .nn import (ForwardTrace, Gradients, MlpModel, Optimizer, backward, forward,
                  init_weights, load_checkpoint, nll_loss, save_checkpoint, step)
 from .policies import (AdaptiveDropoutPolicy, AlshPolicy, ComputePolicy,
-                       DropoutPolicy, ExactPolicy, McBackpropPolicy,
-                       adaptive_keep_probs, backward_with_policy,
-                       forward_with_policy, make_policy, rebuild_if_due)
+                       DropoutPolicy, McBackpropPolicy, adaptive_keep_probs,
+                       make_policy)
 from .train import evaluate_accuracy, train
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ K-bit tables with probability 1 - (1 - p^K)^L.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,6 @@ class ActiveSet:
     """Deduplicated node ids selected as active for one query."""
 
     node_ids: np.ndarray
-    layer: int = -1
 
     def __len__(self):
         return self.node_ids.size
@@ -171,20 +169,3 @@ def rebuild_schedule(samples_seen: int) -> bool:
     if samples_seen <= 10000:
         return samples_seen % 100 == 0
     return samples_seen % 1000 == 0
-
-
-def bucket_occupancy(index: AlshIndex) -> list[list[int]]:
-    """Per-table histogram of bucket sizes (diagnostic)."""
-    return [[len(b) for b in table] for table in index.buckets]
-
-
-def dump_occupancy_json(index: AlshIndex, path):
-    payload = {
-        "tables": index.params.tables,
-        "bits": index.params.bits,
-        "n_columns": index.n_columns,
-        "occupancy": bucket_occupancy(index),
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

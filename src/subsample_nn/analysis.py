@@ -16,14 +16,13 @@ satisfy a[k] = abar[k] * ((c+1)/c)^k, so the error-to-estimate ratio grows as
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
 from .linalg import stream
-from .nn import MlpModel
-from .policies import ComputePolicy
+from .nn import MlpModel, forward
 
 RATIO_TABLE_C5 = [0.2, 0.44, 0.72, 1.07, 1.48, 1.98]  # reference rounding for c=5
 
@@ -177,14 +176,14 @@ class ConfusionMatrix:
         return self.counts.sum(axis=0)
 
 
-def predict(model: MlpModel, policy: ComputePolicy, features) -> np.ndarray:
-    log_probs = policy.infer_log_probs(model, features)
-    return np.argmax(log_probs, axis=1)
+def predict(model: MlpModel, features) -> np.ndarray:
+    """Argmax labels of the exact network: prediction never samples."""
+    return np.argmax(forward(model, features).output, axis=1)
 
 
-def confusion(model: MlpModel, policy: ComputePolicy, dataset) -> ConfusionMatrix:
+def confusion(model: MlpModel, dataset) -> ConfusionMatrix:
     """Tabulate argmax predictions against true labels."""
-    preds = predict(model, policy, dataset.features)
+    preds = predict(model, dataset.features)
     n = dataset.n_classes
     counts = np.zeros((n, n), dtype=np.int64)
     np.add.at(counts, (dataset.labels, preds), 1)
@@ -230,27 +229,11 @@ class TrainReport:
     extra: dict = field(default_factory=dict)
 
     def summary_dict(self) -> dict:
-        """Deterministic summary: FLOP-based metrics only, no wall-clock times
-        (those go to timing.csv, which is machine-dependent by nature)."""
-        return {
-            "policy": self.policy,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "val_accuracy": self.val_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "phase_flops": self.phase_flops,
-            "total_flops": self.total_flops,
-            "confusion": self.confusion,
-            "label_histogram": self.label_histogram,
-            "distinct_predicted_labels": self.distinct_predicted_labels,
-            "active_set_fraction": self.active_set_fraction,
-            "fallback_events": self.fallback_events,
-            "rebuilds": self.rebuilds,
-            "sampled_product_flops": self.sampled_product_flops,
-            "replaced_exact_flops": self.replaced_exact_flops,
-            "extra": self.extra,
-        }
+        """Deterministic summary: every field but the wall-clock times (those
+        go to timing.csv, which is machine-dependent by nature)."""
+        summary = asdict(self)
+        del summary["phase_seconds"], summary["total_seconds"]
+        return summary
 
 
 def write_timing_csv(report: TrainReport, path):

@@ -33,9 +33,9 @@ DEFAULT_CONFIG = {
         "kind": "synth_digits",
         "images": None,
         "labels": None,
-        "train_n": 5000,
-        "test_n": 1000,
-        "val_n": 1000,
+        "train_n": None,
+        "test_n": None,
+        "val_n": None,
         "noise": 0.12,
         "n_features": 16,
         "n_classes": 10,
@@ -49,6 +49,8 @@ DEFAULT_CONFIG = {
     "seed": 0,
 }
 
+# split sizes left null resolve by dataset kind
+DEFAULT_SPLIT = {"train_n": 5000, "test_n": 1000, "val_n": 1000}
 IDX_DEFAULT_SPLIT = {"train_n": 55000, "test_n": 10000, "val_n": 5000}
 
 
@@ -83,18 +85,22 @@ def load_config(path=None, sets=()) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as f:
-            user = json.load(f)
-        if user.get("dataset", {}).get("kind") == "idx":
-            config["dataset"].update(IDX_DEFAULT_SPLIT)
-        config = _merge(config, user)
+            config = _merge(config, json.load(f))
     for assignment in sets:
         _apply_set(config, assignment)
     return config
 
 
 def resolve_config(config: dict) -> dict:
-    """Fill policy-dependent defaults: batch size and learning rate."""
+    """Fill defaults that depend on other settings: split sizes, batch size
+    and learning rate. Runs on the merged config, so a setting has the same
+    effect from a config file and from --set."""
     config = copy.deepcopy(config)
+    ds_cfg = config["dataset"]
+    split_defaults = IDX_DEFAULT_SPLIT if ds_cfg.get("kind") == "idx" else DEFAULT_SPLIT
+    for key, value in split_defaults.items():
+        if ds_cfg.get(key) is None:
+            ds_cfg[key] = value
     kind = config["policy"].get("kind", "exact")
     if config["batch_size"] is None:
         config["batch_size"] = 20 if kind == "mc" else 1

@@ -8,7 +8,6 @@ Pixel bytes are scaled by 1/255 so features always live in [0, 1].
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -215,12 +214,3 @@ def synth_digits(n_samples, seed, noise=0.12, max_shift=3, occlusion=0) -> Datas
         img = img + rng.standard_normal((28, 28)) * noise
         out[i] = np.clip(img, 0.0, 1.0).ravel()
     return Dataset(out, labels.astype(np.int64), 10)
-
-
-def to_csv(ds: Dataset, path):
-    """Debug export: header `label,f0..fN` then one row per sample."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["label"] + [f"f{i}" for i in range(ds.features.shape[1])])
-        for lab, row in zip(ds.labels, ds.features):
-            writer.writerow([int(lab)] + [repr(v) for v in row])

@@ -70,16 +70,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return require_finite(a @ b, "matmul result")
 
 
-def vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Row vector times matrix; counts 2*n*p scalar operations."""
-    v = as_vector(v)
-    m = as_matrix(m)
-    if v.shape[0] != m.shape[0]:
-        raise DimensionError(f"vecmat: length {v.shape[0]} vs {m.shape[0]} rows")
-    FLOPS.add(2 * m.shape[0] * m.shape[1])
-    return require_finite(v @ m, "vecmat result")
-
-
 def col_norms(m: np.ndarray) -> np.ndarray:
     """Euclidean norm of each column; counts 2 ops per entry."""
     m = as_matrix(m)
@@ -113,20 +103,6 @@ def stream(seed: int, *path) -> np.random.Generator:
     """Independent generator for (seed, path); identical inputs, identical stream."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_path_key(p) for p in path]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-def rng_uniform(rng: np.random.Generator, size=None):
-    return rng.random(size)
-
-
-def rng_gauss(rng: np.random.Generator, size=None):
-    return rng.standard_normal(size)
-
-
-def rng_bernoulli(rng: np.random.Generator, p: float, size=None):
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"bernoulli p must be in [0,1], got {p}")
-    return rng.random(size) < p
 
 
 def rng_choice_weighted(rng: np.random.Generator, weights, size=None):

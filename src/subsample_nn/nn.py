@@ -1,8 +1,11 @@
-"""Exact MLP engine: forward, backprop, optimizers, init, checkpoints.
+"""MLP engine: forward, backprop, optimizers, init, checkpoints.
 
-Activations are batched row-wise: a (b, n) array holds b samples. The output
-layer always applies log-softmax and the loss is mean negative log-likelihood,
-so the output-layer delta is (softmax(z) - onehot) / batch.
+forward and backward are the only per-layer loops in the package. They run
+exactly by default; compute policies pass a node selector to forward and a
+product function to backward (see policies.py). Activations are batched
+row-wise: a (b, n) array holds b samples. The output layer always applies
+log-softmax and the loss is mean negative log-likelihood, so the output-layer
+delta is (softmax(z) - onehot) / batch.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError
-from .linalg import matmul, require_finite, stream
+from .linalg import FLOPS, matmul, require_finite, stream
 
 HIDDEN_ACTIVATIONS = ("relu", "linear")
 CHECKPOINT_MAGIC = b"MLPC"
@@ -61,10 +64,17 @@ class MlpModel:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre-activations and activations; activations[0] is the input batch."""
+    """Per-layer pre-activations and activations; activations[0] is the input batch.
+
+    masks[k] is a boolean (batch, width) array over the nodes of hidden layer k
+    that a node-selecting pass kept; scales[k] is the factor kept activations
+    were multiplied by. Both are None for an exact pass.
+    """
 
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
+    masks: list[np.ndarray] | None = None
+    scales: list | None = None
 
     @property
     def output(self) -> np.ndarray:
@@ -122,20 +132,40 @@ def hidden_derivative(z, kind):
     return np.ones_like(z)
 
 
-def forward(model: MlpModel, x) -> ForwardTrace:
-    """Exact forward pass over a sample or batch."""
+def forward(model: MlpModel, x, select=None) -> ForwardTrace:
+    """Forward pass over a sample or batch; exact unless `select` is given.
+
+    select(k, a) picks the kept nodes of hidden layer k from its input batch a
+    and returns (mask, scale, z). z is None when the mask is chosen before the
+    product, which is then charged 2 * fan_in per kept entry only. Masked-out
+    nodes are exactly zero; kept activations are multiplied by scale. The
+    output layer is always exact.
+    """
     a = _as_batch(x, model.n_inputs)
     pre, acts = [], [a]
+    masks, scales = (None, None) if select is None else ([], [])
+    last = model.n_layers - 1
     for k in range(model.n_layers):
-        z = matmul(a, model.weights[k]) + model.biases[k]
-        pre.append(z)
-        if k == model.n_layers - 1:
-            a = log_softmax(z)
+        w, b = model.weights[k], model.biases[k]
+        if select is None or k == last:
+            z = matmul(a, w) + b
         else:
+            mask, scale, z = select(k, a)
+            if z is None:
+                z = np.where(mask, a @ w + b, 0.0)
+                FLOPS.add(2 * w.shape[0] * int(mask.sum()))
+            masks.append(mask)
+            scales.append(scale)
+        if k == last:
+            a = log_softmax(z)
+        elif select is None:
             a = apply_hidden(z, model.hidden_activation)
+        else:
+            a = np.where(mask, apply_hidden(z, model.hidden_activation) * scale, 0.0)
+        pre.append(z)
         acts.append(a)
     require_finite(acts[-1], "forward output")
-    return ForwardTrace(pre, acts)
+    return ForwardTrace(pre, acts, masks, scales)
 
 
 def _as_targets(targets, n_outputs, batch) -> np.ndarray:
@@ -162,18 +192,28 @@ def output_delta(trace: ForwardTrace, targets) -> np.ndarray:
     return delta / b
 
 
-def backward(model: MlpModel, trace: ForwardTrace, targets) -> Gradients:
-    """Exact gradients of mean NLL w.r.t. every weight matrix and bias."""
+def backward(model: MlpModel, trace: ForwardTrace, targets, product=None) -> Gradients:
+    """Gradients of mean NLL w.r.t. every weight matrix and bias.
+
+    product(k, a, b) computes each of layer k's two backprop products, the
+    weight gradient activations[k].T @ delta and the propagated delta @
+    weights[k].T; the default is the exact matmul. Nodes the trace masked out
+    pass no delta back, and kept ones carry the trace's scale.
+    """
+    product = product or (lambda k, a, b: matmul(a, b))
     delta = output_delta(trace, targets)
     grads_w = [None] * model.n_layers
     grads_b = [None] * model.n_layers
     for k in range(model.n_layers - 1, -1, -1):
-        grads_w[k] = matmul(trace.activations[k].T, delta)
+        grads_w[k] = product(k, trace.activations[k].T, delta)
         grads_b[k] = delta.sum(axis=0)
         if k > 0:
-            upstream = matmul(delta, model.weights[k].T)
+            upstream = product(k, delta, model.weights[k].T)
             delta = upstream * hidden_derivative(trace.pre_activations[k - 1],
                                                  model.hidden_activation)
+            if trace.masks is not None:
+                delta = delta * trace.scales[k - 1]
+                delta[~trace.masks[k - 1]] = 0.0
     return Gradients(grads_w, grads_b)
 
 
@@ -275,10 +315,12 @@ def load_checkpoint(path) -> MlpModel:
             if b.size != fan_out:
                 raise FormatError(f"{path}: truncated bias block")
             biases.append(b.copy())
-    activation = "relu"
+    # the activation lives only in the sidecar; a guessed one mispredicts
+    sidecar = str(path) + ".json"
     try:
-        with open(str(path) + ".json") as f:
-            activation = json.load(f).get("activation", "relu")
-    except OSError:
-        pass
+        with open(sidecar) as f:
+            activation = json.load(f)["activation"]
+    except (OSError, KeyError):
+        raise FormatError(f"{path}: metadata sidecar {sidecar} is missing or "
+                          "names no activation") from None
     return MlpModel(dims, weights, biases, activation)

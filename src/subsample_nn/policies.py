@@ -46,7 +46,6 @@ class ComputePolicy:
     name = "exact"
 
     def __init__(self):
-        self._bound = False
         self._rng = None
         self.reset_stats()
 
@@ -61,12 +60,7 @@ class ComputePolicy:
     def bind(self, model: nn.MlpModel, seed: int = 0):
         """Attach to one training run; resets per-run state."""
         self._rng = stream(seed, "policy", self.name)
-        self._bound = True
         self.reset_stats()
-
-    def ensure_bound(self, model, seed=0):
-        if not self._bound:
-            self.bind(model, seed)
 
     def describe(self) -> dict:
         return {"kind": self.name}
@@ -85,29 +79,14 @@ class ComputePolicy:
     def backward(self, model, trace, targets, rng=None) -> nn.Gradients:
         return nn.backward(model, trace, targets)
 
-    def infer_log_probs(self, model, x) -> np.ndarray:
-        """Prediction-time forward; policies that only alter training fall
-        back to the exact network here."""
-        return nn.forward(model, x).output
-
     def on_samples_seen(self, model, samples_seen):
         pass
 
 
-class ExactPolicy(ComputePolicy):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# Shared masked forward/backward for column-selection policies.
-#
-# masks[k] is a boolean (batch, width) array over the output nodes of hidden
-# layer k; scales[k] carries the inverted-keep-probability correction (1.0
-# when the policy does not rescale).
-# ---------------------------------------------------------------------------
-
-
 class _ColumnPolicy(ComputePolicy):
+    """Node selection: forward computes hidden layer k only for the nodes
+    `_layer_mask` keeps, and backward charges only the kept entries."""
+
     def _layer_mask(self, model, k, a_prev, rng):
         """Return (mask, scale, z) for hidden layer k. z is None when the mask
         is chosen before the product, which is then computed only where kept."""
@@ -115,57 +94,24 @@ class _ColumnPolicy(ComputePolicy):
 
     def forward(self, model, x, rng=None):
         rng = rng if rng is not None else self._rng
-        a = nn._as_batch(x, model.n_inputs)
-        batch = a.shape[0]
-        pre, acts = [], [a]
-        masks, scales = [], []
-        for k in range(model.n_layers):
-            w, b = model.weights[k], model.biases[k]
-            if k == model.n_layers - 1:
-                z = matmul(a, w) + b
-                a = nn.log_softmax(z)
-            else:
-                mask, scale, z = self._layer_mask(model, k, a, rng)
-                if z is None:
-                    z = np.where(mask, a @ w + b, 0.0)
-                    FLOPS.add(2 * w.shape[0] * int(mask.sum()))
-                act = nn.apply_hidden(z, model.hidden_activation)
-                a = np.where(mask, act * scale, 0.0)
-                masks.append(mask)
-                scales.append(scale)
-                self.active_fraction_sum += mask.mean(axis=1).sum()
-                self.active_queries += batch
-            pre.append(z)
-            acts.append(a)
-        self._step_masks = masks
-        self._step_scales = scales
-        return nn.ForwardTrace(pre, acts)
+
+        def select(k, a_prev):
+            mask, scale, z = self._layer_mask(model, k, a_prev, rng)
+            self.active_fraction_sum += mask.mean(axis=1).sum()
+            self.active_queries += a_prev.shape[0]
+            return mask, scale, z
+
+        return nn.forward(model, x, select)
 
     def backward(self, model, trace, targets, rng=None):
-        masks, scales = self._step_masks, self._step_scales
-        delta = nn.output_delta(trace, targets)
-        grads_w = [None] * model.n_layers
-        grads_b = [None] * model.n_layers
-        for k in range(model.n_layers - 1, -1, -1):
-            a_prev = trace.activations[k]
+        def product(k, a, b):
             if k == model.n_layers - 1:
-                grads_w[k] = matmul(a_prev.T, delta)
-            else:
-                kept = int(masks[k].sum())
-                fan_in = model.weights[k].shape[0]
-                FLOPS.add(2 * fan_in * kept)  # weight-gradient columns
-                FLOPS.add(2 * kept * fan_in)  # delta propagation rows
-                grads_w[k] = a_prev.T @ delta
-            grads_b[k] = delta.sum(axis=0)
-            if k > 0:
-                upstream = (matmul(delta, model.weights[k].T)
-                            if k == model.n_layers - 1
-                            else delta @ model.weights[k].T)
-                deriv = nn.hidden_derivative(trace.pre_activations[k - 1],
-                                             model.hidden_activation)
-                delta = upstream * deriv * scales[k - 1]
-                delta[~masks[k - 1]] = 0.0
-        return nn.Gradients(grads_w, grads_b)
+                return matmul(a, b)
+            # both products of a hidden layer touch fan_in terms per kept node
+            FLOPS.add(2 * model.weights[k].shape[0] * int(trace.masks[k].sum()))
+            return a @ b
+
+        return nn.backward(model, trace, targets, product)
 
 
 class DropoutPolicy(_ColumnPolicy):
@@ -221,6 +167,10 @@ class AdaptiveDropoutPolicy(_ColumnPolicy):
         return mask, scale, z
 
 
+# config name -> AlshParams field
+_ALSH_CONFIG_NAMES = {"K": "bits", "L": "tables", "m": "pad_terms", "C": "norm_bound"}
+
+
 class AlshPolicy(_ColumnPolicy):
     """Active-node selection by asymmetric-LSH maximum inner-product search.
 
@@ -239,10 +189,15 @@ class AlshPolicy(_ColumnPolicy):
         self._samples_seen = 0
         self.rebuild_count = 0
 
+    @classmethod
+    def from_config(cls, **config):
+        """Build from the config names K, L, m, C."""
+        return cls(alsh_mod.AlshParams(**{_ALSH_CONFIG_NAMES[n]: v
+                                          for n, v in config.items()}))
+
     def describe(self):
-        p = self.params
-        return {"kind": self.name, "K": p.bits, "L": p.tables,
-                "m": p.pad_terms, "C": p.norm_bound}
+        return {"kind": self.name, **{n: getattr(self.params, field)
+                                      for n, field in _ALSH_CONFIG_NAMES.items()}}
 
     def bind(self, model, seed=0):
         super().bind(model, seed)
@@ -329,66 +284,28 @@ class McBackpropPolicy(ComputePolicy):
 
     def backward(self, model, trace, targets, rng=None):
         rng = rng if rng is not None else self._rng
-        delta = nn.output_delta(trace, targets)
-        grads_w = [None] * model.n_layers
-        grads_b = [None] * model.n_layers
-        for k in range(model.n_layers - 1, -1, -1):
-            a_prev = trace.activations[k]
-            grads_w[k] = self._sampled_product(a_prev.T, delta, rng)
-            grads_b[k] = delta.sum(axis=0)
-            if k > 0:
-                upstream = self._sampled_product(delta, model.weights[k].T, rng)
-                delta = upstream * nn.hidden_derivative(
-                    trace.pre_activations[k - 1], model.hidden_activation)
-        return nn.Gradients(grads_w, grads_b)
+        return nn.backward(model, trace, targets,
+                           lambda k, a, b: self._sampled_product(a, b, rng))
 
 
-# ---------------------------------------------------------------------------
-# Module-level entry points.
-# ---------------------------------------------------------------------------
-
-
-def forward_with_policy(model, x, policy: ComputePolicy, rng=None) -> nn.ForwardTrace:
-    policy.ensure_bound(model)
-    return policy.forward(model, x, rng)
-
-
-def backward_with_policy(model, trace, targets, policy: ComputePolicy,
-                         rng=None) -> nn.Gradients:
-    return policy.backward(model, trace, targets, rng)
-
-
-def rebuild_if_due(policy: ComputePolicy, model, samples_seen: int):
-    policy.on_samples_seen(model, samples_seen)
-
-
-_POLICY_DEFAULTS = {
-    "exact": (),
-    "dropout": ("p_keep",),
-    "adaptive_dropout": ("alpha", "beta"),
-    "alsh": ("K", "L", "m", "C"),
-    "mc": ("k_samples",),
+# kind -> (constructor, accepted config parameters); defaults live in the
+# constructors and in AlshParams
+_POLICIES = {
+    "exact": (ComputePolicy, ()),
+    "dropout": (DropoutPolicy, ("p_keep",)),
+    "adaptive_dropout": (AdaptiveDropoutPolicy, ("alpha", "beta")),
+    "alsh": (AlshPolicy.from_config, tuple(_ALSH_CONFIG_NAMES)),
+    "mc": (McBackpropPolicy, ("k_samples",)),
 }
 
 
 def make_policy(kind: str, **params) -> ComputePolicy:
     """Config-level factory; unknown kinds or parameters raise ParameterError."""
     kind = kind.lower()
-    if kind not in _POLICY_DEFAULTS:
+    if kind not in _POLICIES:
         raise ParameterError(f"unknown policy kind {kind!r}")
-    extra = set(params) - set(_POLICY_DEFAULTS[kind])
+    build, names = _POLICIES[kind]
+    extra = set(params) - set(names)
     if extra:
         raise ParameterError(f"unknown parameters for policy {kind!r}: {sorted(extra)}")
-    if kind == "exact":
-        return ExactPolicy()
-    if kind == "dropout":
-        return DropoutPolicy(p_keep=params.get("p_keep", 0.05))
-    if kind == "adaptive_dropout":
-        return AdaptiveDropoutPolicy(alpha=params.get("alpha", 1.0),
-                                     beta=params.get("beta", 0.0))
-    if kind == "alsh":
-        alsh_params = alsh_mod.AlshParams(
-            bits=params.get("K", 6), tables=params.get("L", 5),
-            pad_terms=params.get("m", 3), norm_bound=params.get("C", 0.83))
-        return AlshPolicy(alsh_params)
-    return McBackpropPolicy(k_samples=params.get("k_samples", 10))
+    return build(**params)

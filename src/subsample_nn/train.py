@@ -11,20 +11,20 @@ import time
 
 import numpy as np
 
-from .analysis import ConfusionMatrix, TrainReport, confusion, label_concentration
+from .analysis import (ConfusionMatrix, TrainReport, confusion, label_concentration,
+                       predict)
 from .data import Split
 from .errors import ParameterError
 from .linalg import FLOPS, stream
 from .nn import MlpModel, Optimizer, step
-from .policies import (ComputePolicy, backward_with_policy, forward_with_policy,
-                       rebuild_if_due)
+from .policies import ComputePolicy
 
 
-def evaluate_accuracy(model, policy, dataset) -> float:
+def evaluate_accuracy(model, dataset) -> float:
+    """Accuracy of the exact network; policies only change training."""
     if len(dataset) == 0:
         return 0.0
-    log_probs = policy.infer_log_probs(model, dataset.features)
-    return float((np.argmax(log_probs, axis=1) == dataset.labels).mean())
+    return float((predict(model, dataset.features) == dataset.labels).mean())
 
 
 def train(model: MlpModel, split: Split, policy: ComputePolicy,
@@ -49,7 +49,7 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
         overhead_mark = now
         return delta
 
-    val_accuracy = [evaluate_accuracy(model, policy, split.validation)]
+    val_accuracy = [evaluate_accuracy(model, split.validation)]
     features = split.train.features
     labels = split.train.labels
     n_train = len(split.train)
@@ -63,13 +63,13 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
 
             t0 = time.perf_counter()
             mark = FLOPS.value()
-            trace = forward_with_policy(model, xb, policy)
+            trace = policy.forward(model, xb)
             t_forward += time.perf_counter() - t0
             f_forward += FLOPS.value() - mark - overhead_delta()
 
             t0 = time.perf_counter()
             mark = FLOPS.value()
-            grads = backward_with_policy(model, trace, yb, policy)
+            grads = policy.backward(model, trace, yb)
             t_backward += time.perf_counter() - t0
             f_backward += FLOPS.value() - mark - overhead_delta()
 
@@ -77,13 +77,13 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
 
             samples_seen += idx.size
             t0 = time.perf_counter()
-            rebuild_if_due(policy, model, samples_seen)
+            policy.on_samples_seen(model, samples_seen)
             t_policy += time.perf_counter() - t0
             overhead_delta()
-        val_accuracy.append(evaluate_accuracy(model, policy, split.validation))
+        val_accuracy.append(evaluate_accuracy(model, split.validation))
 
     if len(split.test):
-        cm = confusion(model, policy, split.test)
+        cm = confusion(model, split.test)
     else:
         n = split.train.n_classes
         cm = ConfusionMatrix(np.zeros((n, n), dtype=np.int64))

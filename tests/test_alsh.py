@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from subsample_nn.alsh import (AlshParams, build_index, collision_probability,
-                               bucket_occupancy, query_active, rebuild_index,
-                               rebuild_schedule, transform_data, transform_query)
+                               query_active, rebuild_index, rebuild_schedule,
+                               transform_data, transform_query)
 from subsample_nn.errors import NormBoundError, ParameterError
 from subsample_nn.linalg import stream
 
@@ -70,9 +70,10 @@ class TestTransforms:
 class TestIndex:
     def test_single_column_one_bucket_per_table(self):
         idx = build_index(np.array([[1.0, 2.0, 3.0]]), AlshParams(), seed=0)
-        for table in bucket_occupancy(idx):
-            assert sum(table) == 1
-            assert sorted(table)[-1] == 1
+        for table in idx.buckets:
+            sizes = [len(bucket) for bucket in table]
+            assert sum(sizes) == 1
+            assert max(sizes) == 1
 
     def test_duplicate_columns_share_buckets(self):
         col = stream(3, "dup").standard_normal(8)
@@ -84,8 +85,8 @@ class TestIndex:
     def test_occupancy_sums_to_column_count(self):
         cols = stream(4, "occ").standard_normal((100, 16))
         idx = build_index(cols, AlshParams(), seed=2)
-        for table in bucket_occupancy(idx):
-            assert sum(table) == 100
+        for table in idx.buckets:
+            assert sum(len(bucket) for bucket in table) == 100
 
     def test_scale_puts_largest_column_on_bound(self):
         cols = stream(5, "scale").standard_normal((10, 6))
@@ -215,18 +216,3 @@ def test_params_validation():
         AlshParams(bits=0)
     with pytest.raises(ParameterError):
         AlshParams(norm_bound=1.0)
-
-
-def test_occupancy_dump(tmp_path):
-    import json
-
-    from subsample_nn.alsh import dump_occupancy_json
-
-    cols = stream(13, "dump").standard_normal((25, 6))
-    idx = build_index(cols, AlshParams(bits=3, tables=2), seed=0)
-    path = tmp_path / "occupancy.json"
-    dump_occupancy_json(idx, path)
-    payload = json.loads(path.read_text())
-    assert payload["tables"] == 2 and payload["bits"] == 3
-    assert all(sum(table) == 25 for table in payload["occupancy"])
-    assert all(len(table) == 8 for table in payload["occupancy"])

@@ -9,7 +9,6 @@ from subsample_nn.analysis import (RATIO_TABLE_C5, ConfusionMatrix,
 from subsample_nn.data import synth_blobs
 from subsample_nn.errors import ParameterError, PreconditionError
 from subsample_nn.linalg import stream
-from subsample_nn.policies import ExactPolicy
 
 
 def linear_model(dims, seed):
@@ -126,7 +125,7 @@ class TestConfusion:
         for epoch in range(30):
             trace = forward(model, ds.features)
             step(opt, model, backward(model, trace, ds.labels))
-        cm = confusion(model, ExactPolicy(), ds)
+        cm = confusion(model, ds)
         assert cm.accuracy == 1.0
         assert np.trace(cm.counts) == cm.total
 
@@ -134,7 +133,7 @@ class TestConfusion:
         ds = synth_blobs(100, 4, 3, separation=3.0, seed=6)
         model = nn.MlpModel([4, 3], [np.zeros((4, 3))],
                             [np.array([0.0, 5.0, 0.0])])
-        cm = confusion(model, ExactPolicy(), ds)
+        cm = confusion(model, ds)
         hist = cm.predicted_histogram()
         assert hist[1] == cm.total
         assert (hist[[0, 2]] == 0).all()
@@ -142,7 +141,7 @@ class TestConfusion:
     def test_trace_over_total_is_accuracy(self):
         ds = synth_blobs(200, 5, 4, separation=2.0, seed=7)
         model = nn.init_weights([5, 8, 4], seed=8)
-        cm = confusion(model, ExactPolicy(), ds)
+        cm = confusion(model, ds)
         preds = np.argmax(nn.forward(model, ds.features).output, axis=1)
         assert cm.accuracy == (preds == ds.labels).mean()
         assert cm.total == len(ds)

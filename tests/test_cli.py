@@ -66,10 +66,29 @@ class TestTrain:
         path = tmp_path / "idx.json"
         path.write_text(json.dumps({"dataset": {"kind": "idx",
                                                 "images": "i", "labels": "l"}}))
-        cfg = cli.load_config(path, [])
+        cfg = cli.resolve_config(cli.load_config(path, []))
         assert cfg["dataset"]["train_n"] == 55000
         assert cfg["dataset"]["test_n"] == 10000
         assert cfg["dataset"]["val_n"] == 5000
+
+    def test_idx_from_set_defaults_to_full_scale_split(self):
+        cfg = cli.resolve_config(cli.load_config(None, ["dataset.kind=idx"]))
+        split = [cfg["dataset"][key] for key in ("train_n", "test_n", "val_n")]
+        assert split == [55000, 10000, 5000]
+
+    def test_explicit_split_size_wins_over_idx_default(self, tmp_path):
+        path = tmp_path / "idx.json"
+        path.write_text(json.dumps({"dataset": {"kind": "idx", "train_n": 100}}))
+        for cfg in (cli.load_config(path, []),
+                    cli.load_config(None, ["dataset.kind=idx", "dataset.train_n=100"])):
+            cfg = cli.resolve_config(cfg)
+            split = [cfg["dataset"][key] for key in ("train_n", "test_n", "val_n")]
+            assert split == [100, 10000, 5000]
+
+    def test_synthetic_split_defaults(self):
+        cfg = cli.resolve_config(cli.load_config(None, []))
+        split = [cfg["dataset"][key] for key in ("train_n", "test_n", "val_n")]
+        assert split == [5000, 1000, 1000]
 
 
 class TestSweep:

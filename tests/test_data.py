@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subsample_nn.data import (Dataset, load_idx, split, synth_blobs,
-                               synth_digits, to_csv, write_idx)
+                               synth_digits, write_idx)
 from subsample_nn.errors import FormatError, ParameterError
 
 
@@ -162,12 +162,3 @@ class TestSynthDigits:
     def test_all_classes_present(self):
         ds = synth_digits(500, seed=1)
         assert set(ds.labels.tolist()) == set(range(10))
-
-
-def test_csv_export(tmp_path):
-    ds = synth_blobs(10, 3, 2, 2.0, seed=0)
-    path = tmp_path / "ds.csv"
-    to_csv(ds, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "label,f0,f1,f2"
-    assert len(lines) == 11

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from subsample_nn.errors import DimensionError, ParameterError
-from subsample_nn.linalg import (FLOPS, col_norms, matmul, rng_bernoulli,
-                                 rng_choice_weighted, rng_gauss, rng_uniform,
-                                 row_norms, stream, vecmat)
+from subsample_nn.linalg import (FLOPS, col_norms, matmul, rng_choice_weighted,
+                                 row_norms, stream)
 
 
 def naive_matmul(a, b):
@@ -63,23 +62,28 @@ class TestMatmul:
 
 
 class TestVecmat:
+    """Row vector times matrix: the batch-1 product, a one-row matmul."""
+
     def test_zero_vector(self):
-        out = vecmat(np.zeros(3), np.ones((3, 4)))
-        np.testing.assert_array_equal(out, np.zeros(4))
+        out = matmul(np.zeros((1, 3)), np.ones((3, 4)))
+        np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_basis_selection(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(vecmat(np.array([1.0, 0.0]), m), [1.0, 2.0])
+        np.testing.assert_array_equal(matmul(np.array([[1.0, 0.0]]), m), [[1.0, 2.0]])
 
     def test_matches_matmul_reshape(self):
         rng = stream(3, "vecmat")
         v = rng.standard_normal(6)
         m = rng.standard_normal((6, 4))
-        np.testing.assert_allclose(vecmat(v, m), matmul(v[None, :], m)[0], atol=1e-14)
+        before = FLOPS.value()
+        out = matmul(v[None, :], m)[0]
+        assert FLOPS.value() - before == 2 * 6 * 4
+        np.testing.assert_allclose(out, v @ m, atol=1e-14)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            vecmat(np.zeros(2), np.zeros((3, 3)))
+            matmul(np.zeros((1, 2)), np.zeros((3, 3)))
 
 
 class TestNorms:
@@ -100,21 +104,21 @@ class TestNorms:
 
 
 class TestRng:
+    # Bernoulli draws are `random() < p` wherever the package makes them
+    # (dropout masks, MC keep decisions)
+
     def test_bernoulli_degenerate(self):
+        # uniforms lie in [0, 1): p = 1 keeps everything, p = 0 nothing
         rng = stream(0, "bern")
-        assert rng_bernoulli(rng, 1.0, 1000).all()
-        assert not rng_bernoulli(rng, 0.0, 1000).any()
+        assert (rng.random(1000) < 1.0).all()
+        assert not (rng.random(1000) < 0.0).any()
 
     def test_bernoulli_mean(self):
         # binomial std = sqrt(p(1-p)/n); stay within 3 sigma of 0.3
         n = 10**6
-        draws = rng_bernoulli(stream(42, "bern-mean"), 0.3, n)
+        draws = stream(42, "bern-mean").random(n) < 0.3
         sigma = np.sqrt(0.3 * 0.7 / n)
         assert abs(draws.mean() - 0.3) <= 3 * sigma
-
-    def test_bernoulli_invalid_p(self):
-        with pytest.raises(ParameterError):
-            rng_bernoulli(stream(0), 1.5, 10)
 
     def test_choice_weighted_validation(self):
         rng = stream(0, "choice")
@@ -129,11 +133,11 @@ class TestRng:
         assert abs((draws == 1).mean() - 0.75) < 0.01
 
     def test_seed_reproducibility(self):
-        a = rng_gauss(stream(123, "repro"), 50)
-        b = rng_gauss(stream(123, "repro"), 50)
+        a = stream(123, "repro").standard_normal(50)
+        b = stream(123, "repro").standard_normal(50)
         np.testing.assert_array_equal(a, b)
 
     def test_streams_are_independent(self):
-        a = rng_uniform(stream(123, "path-a"), 50)
-        b = rng_uniform(stream(123, "path-b"), 50)
+        a = stream(123, "path-a").random(50)
+        b = stream(123, "path-b").random(50)
         assert not np.array_equal(a, b)

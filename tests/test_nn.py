@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subsample_nn.errors import DimensionError, ParameterError
+from subsample_nn.errors import DimensionError, FormatError, ParameterError
 from subsample_nn.linalg import FLOPS, stream
 from subsample_nn.nn import (MlpModel, Optimizer, backward,
                              forward, init_weights, load_checkpoint, nll_loss,
@@ -230,3 +230,14 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(model.biases, back.biases):
         np.testing.assert_array_equal(a, b)
+
+
+def test_checkpoint_without_sidecar_is_rejected(tmp_path):
+    # the activation is stored only in the sidecar; loading a linear model
+    # as ReLU would silently change its predictions
+    model = random_model([5, 6, 3], seed=7, activation="linear")
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    (tmp_path / "model.bin.json").unlink()
+    with pytest.raises(FormatError, match="model.bin.json"):
+        load_checkpoint(path)

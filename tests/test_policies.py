@@ -5,13 +5,14 @@ import pytest
 
 from subsample_nn import mc, nn
 from subsample_nn.alsh import AlshParams
+from subsample_nn.data import Dataset
 from subsample_nn.errors import ParameterError
-from subsample_nn.linalg import stream
+from subsample_nn.linalg import FLOPS, stream
 from subsample_nn.policies import (AdaptiveDropoutPolicy, AlshPolicy,
-                                   DropoutPolicy, ExactPolicy,
+                                   ComputePolicy, DropoutPolicy,
                                    McBackpropPolicy, adaptive_keep_probs,
-                                   backward_with_policy, forward_with_policy,
-                                   make_policy, rebuild_if_due)
+                                   make_policy)
+from subsample_nn.train import evaluate_accuracy
 
 
 class ForcedUniforms:
@@ -31,6 +32,17 @@ def grads_allclose(a, b, atol=1e-12):
     return True
 
 
+def grads_equal(a, b):
+    return all(np.array_equal(ga, gb)
+               for ga, gb in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+def backprop_flops(policy, model, trace, targets):
+    before = FLOPS.value()
+    policy.backward(model, trace, targets)
+    return FLOPS.value() - before
+
+
 def near_parallel_columns_model(seed=0):
     """One hidden layer whose 4 weight columns point almost the same way, so a
     1-bit 50-table index puts every column in the query's bucket set."""
@@ -48,16 +60,17 @@ class TestExactPolicy:
     def test_bit_for_bit_forward(self):
         model = nn.init_weights([5, 8, 4], seed=1)
         x = stream(2, "x").standard_normal((3, 5))
-        policy = ExactPolicy()
-        trace = forward_with_policy(model, x, policy)
+        policy = ComputePolicy()
+        trace = policy.forward(model, x)
         np.testing.assert_array_equal(trace.output, nn.forward(model, x).output)
+        assert trace.masks is None and trace.scales is None
 
     def test_backward_matches_engine(self):
         model = nn.init_weights([5, 8, 4], seed=1)
         x = stream(2, "x").standard_normal((3, 5))
-        policy = ExactPolicy()
-        trace = forward_with_policy(model, x, policy)
-        grads = backward_with_policy(model, trace, [0, 1, 2], policy)
+        policy = ComputePolicy()
+        trace = policy.forward(model, x)
+        grads = policy.backward(model, trace, [0, 1, 2])
         assert grads_allclose(grads, nn.backward(model, trace, [0, 1, 2]), atol=0)
 
 
@@ -73,6 +86,30 @@ class TestDropout:
         exact = nn.backward(model, nn.forward(model, x), 1)
         assert grads_allclose(grads, exact, atol=0)
 
+    def test_keep_all_charges_exact_backprop_flops(self):
+        # no delta is propagated below layer 0, so none may be charged
+        model = nn.init_weights([784, 128, 10], seed=3)
+        x = stream(4, "x").random(784)
+        policy = DropoutPolicy(p_keep=1.0)
+        policy.bind(model, seed=0)
+        dropout_flops = backprop_flops(policy, model, policy.forward(model, x), 1)
+        exact = ComputePolicy()
+        exact_flops = backprop_flops(exact, model, exact.forward(model, x), 1)
+        assert dropout_flops == exact_flops == 2 * (784 * 128 + 128 * 10 + 10 * 128)
+
+    def test_backward_uses_masks_of_its_own_trace(self):
+        # a second forward before the backward must not change the gradients
+        model = nn.init_weights([6, 12, 12, 3], seed=5)
+        x1, x2 = stream(6, "x").standard_normal((2, 2, 6))
+        first, second = DropoutPolicy(p_keep=0.5), DropoutPolicy(p_keep=0.5)
+        first.bind(model, seed=7)
+        second.bind(model, seed=7)
+        trace = first.forward(model, x1)
+        first.forward(model, x2)
+        stale = first.backward(model, trace, [0, 2])
+        fresh = second.backward(model, second.forward(model, x1), [0, 2])
+        assert grads_equal(stale, fresh)
+
     def test_masked_consistency(self):
         # unselected nodes must have zero activation, zero delta, zero dW column
         model = nn.init_weights([6, 12, 3], seed=5)
@@ -80,7 +117,7 @@ class TestDropout:
         policy.bind(model, seed=7)
         x = stream(6, "x").standard_normal((2, 6))
         trace = policy.forward(model, x)
-        mask = policy._step_masks[0]
+        mask = trace.masks[0]
         assert not trace.activations[1][~mask].any()
         grads = policy.backward(model, trace, [0, 2])
         dead_cols = ~mask.any(axis=0)
@@ -93,7 +130,7 @@ class TestDropout:
         policy = DropoutPolicy(p_keep=0.5)
         policy.bind(model, seed=1)
         trace = policy.forward(model, np.ones(2))
-        kept = policy._step_masks[0][0]
+        kept = trace.masks[0][0]
         np.testing.assert_allclose(trace.activations[1][0][kept], 2.0 / 0.5)
 
     def test_invalid_p(self):
@@ -142,7 +179,7 @@ class TestAlshPolicy:
         policy = AlshPolicy(AlshParams(bits=1, tables=50))
         policy.bind(model, seed=11)
         trace = policy.forward(model, base)
-        assert policy._step_masks[0].all()  # every column is active
+        assert trace.masks[0].all()  # every column is active
         np.testing.assert_array_equal(trace.output, nn.forward(model, base).output)
 
     def test_forced_active_set_masks_gradients(self):
@@ -192,20 +229,24 @@ class TestAlshPolicy:
         model = nn.init_weights([6, 8, 3], seed=18)
         policy = AlshPolicy()
         policy.bind(model, seed=0)
-        rebuild_if_due(policy, model, 50)
+        policy.on_samples_seen(model, 50)
         assert policy.rebuild_count == 0
         before = [idx.buckets for idx in policy.indexes]
-        rebuild_if_due(policy, model, 100)
+        policy.on_samples_seen(model, 100)
         assert policy.rebuild_count == 1
         # weights unchanged, same projections: identical buckets
         assert [idx.buckets for idx in policy.indexes] == before
 
     def test_inference_is_exact_forward(self):
+        # evaluation takes no policy: a bound hash policy is never queried
         model, base = near_parallel_columns_model(seed=1)
         policy = AlshPolicy(AlshParams())
-        log_probs = policy.infer_log_probs(model, base[None, :])
-        np.testing.assert_array_equal(log_probs,
-                                      nn.forward(model, base[None, :]).output)
+        policy.bind(model, seed=0)
+        features = base[None, :] + stream(1, "eval").standard_normal((20, 6))
+        preds = np.argmax(nn.forward(model, features).output, axis=1)
+        labels = np.arange(20) % 3
+        accuracy = evaluate_accuracy(model, Dataset(features, labels, 3))
+        assert accuracy == (preds == labels).mean()
         assert policy.active_queries == 0  # mask stats come from training only
 
 
@@ -250,8 +291,8 @@ class TestMcBackprop:
             uniforms = [0.0] + [0.0 if z else 1 - 1e-12 for z in zs] + [0.0]
             policy = McBackpropPolicy(k_samples=2)
             policy.bind(model, seed=0)
-            grads = backward_with_policy(model, trace, target, policy,
-                                         rng=ForcedUniforms(uniforms))
+            grads = policy.backward(model, trace, target,
+                                    rng=ForcedUniforms(uniforms))
             mean_dw0 += weight * grads.weights[0]
             total_weight += weight
         assert abs(total_weight - 1.0) <= 1e-12
@@ -287,8 +328,8 @@ class TestMcBackprop:
                             + [0.0 if z else 1 - 1e-12 for z in z0])
                 policy = McBackpropPolicy(k_samples=2)
                 policy.bind(model, seed=0)
-                grads = backward_with_policy(model, trace, targets, policy,
-                                             rng=ForcedUniforms(uniforms))
+                grads = policy.backward(model, trace, targets,
+                                        rng=ForcedUniforms(uniforms))
                 mean_dw1 += w1 * w0 * grads.weights[1]
                 mean_dw0 += w1 * w0 * grads.weights[0]
                 total_weight += w1 * w0
