@@ -16,7 +16,7 @@ satisfy a[k] = abar[k] * ((c+1)/c)^k, so the error-to-estimate ratio grows as
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -203,9 +203,6 @@ def label_concentration(cm: ConfusionMatrix):
 # Training report.
 # ---------------------------------------------------------------------------
 
-PHASES = ("feedforward", "backprop", "policy_overhead")
-
-
 @dataclass
 class TrainReport:
     policy: dict
@@ -226,7 +223,6 @@ class TrainReport:
     rebuilds: int = 0
     sampled_product_flops: int = 0
     replaced_exact_flops: int = 0
-    extra: dict = field(default_factory=dict)
 
     def summary_dict(self) -> dict:
         """Deterministic summary: every field but the wall-clock times (those
@@ -240,9 +236,8 @@ def write_timing_csv(report: TrainReport, path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "phase", "seconds", "flops"])
-        for phase in PHASES:
-            writer.writerow(["all", phase, repr(report.phase_seconds[phase]),
-                             report.phase_flops[phase]])
+        for phase, flops in report.phase_flops.items():
+            writer.writerow(["all", phase, repr(report.phase_seconds[phase]), flops])
         writer.writerow(["all", "total", repr(report.total_seconds), report.total_flops])
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, data, mc
 from .errors import ParameterError, SubsampleNNError
-from .linalg import FLOPS, stream
+from .linalg import stream
 from .nn import Optimizer, init_weights, save_checkpoint
 from .policies import make_policy
 from .train import train
@@ -52,6 +52,12 @@ DEFAULT_CONFIG = {
 # split sizes left null resolve by dataset kind
 DEFAULT_SPLIT = {"train_n": 5000, "test_n": 1000, "val_n": 1000}
 IDX_DEFAULT_SPLIT = {"train_n": 55000, "test_n": 10000, "val_n": 5000}
+
+# settings read as numbers, by their --set path
+NUMERIC_SETTINGS = {"seed": int, "epochs": int, "batch_size": int,
+                    "optimizer.learning_rate": float, "architecture.hidden_layers": int,
+                    "architecture.hidden_width": int, "dataset.train_n": int,
+                    "dataset.test_n": int, "dataset.val_n": int}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -93,8 +99,9 @@ def load_config(path=None, sets=()) -> dict:
 
 def resolve_config(config: dict) -> dict:
     """Fill defaults that depend on other settings: split sizes, batch size
-    and learning rate. Runs on the merged config, so a setting has the same
-    effect from a config file and from --set."""
+    and learning rate, and convert the numeric settings to numbers. Runs on
+    the merged config, so a setting has the same effect from a config file
+    and from --set."""
     config = copy.deepcopy(config)
     ds_cfg = config["dataset"]
     split_defaults = IDX_DEFAULT_SPLIT if ds_cfg.get("kind") == "idx" else DEFAULT_SPLIT
@@ -107,6 +114,14 @@ def resolve_config(config: dict) -> dict:
     if config["optimizer"].get("learning_rate") is None:
         sgd_mc = kind == "mc" and config["batch_size"] == 1
         config["optimizer"]["learning_rate"] = 1e-4 if sgd_mc else 1e-3
+    for path, number in NUMERIC_SETTINGS.items():
+        *section, key = path.split(".")
+        node = config[section[0]] if section else config
+        try:
+            node[key] = number(node[key])
+        except (TypeError, ValueError):
+            raise ParameterError(f"{path} must be {'an integer' if number is int else 'a number'}"
+                                 f", got {node[key]!r}") from None
     return config
 
 
@@ -131,26 +146,25 @@ def build_dataset(cfg: dict, seed: int) -> data.Split:
 
 def run_training(config: dict, out_dir: Path) -> analysis.TrainReport:
     config = resolve_config(config)
-    seed = int(config["seed"])
+    seed = config["seed"]
     # validate policy/optimizer/shape parameters before any data is touched
     policy_cfg = dict(config["policy"])
     policy = make_policy(policy_cfg.pop("kind", "exact"), **policy_cfg)
     optimizer = Optimizer(kind=config["optimizer"]["kind"],
-                          learning_rate=float(config["optimizer"]["learning_rate"]))
-    if int(config["epochs"]) < 0 or int(config["batch_size"]) < 1:
+                          learning_rate=config["optimizer"]["learning_rate"])
+    if config["epochs"] < 0 or config["batch_size"] < 1:
         raise ParameterError("epochs must be >= 0 and batch_size >= 1")
     arch = config["architecture"]
-    if int(arch["hidden_layers"]) < 0 or int(arch["hidden_width"]) < 1:
+    if arch["hidden_layers"] < 0 or arch["hidden_width"] < 1:
         raise ParameterError("architecture dims must be positive")
 
     split = build_dataset(config, seed)
     dims = ([split.train.features.shape[1]]
-            + [int(arch["hidden_width"])] * int(arch["hidden_layers"])
+            + [arch["hidden_width"]] * arch["hidden_layers"]
             + [split.train.n_classes])
     model = init_weights(dims, seed=seed)
-    report = train(model, split, policy, optimizer,
-                   epochs=int(config["epochs"]),
-                   batch_size=int(config["batch_size"]), seed=seed)
+    report = train(model, split, policy, optimizer, epochs=config["epochs"],
+                   batch_size=config["batch_size"], seed=seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"config": config}
@@ -210,7 +224,10 @@ def _run_variant(payload):
 
 def _max_workers(n_variants: int) -> int:
     cap = os.environ.get(THREADS_ENV)
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ParameterError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
     return max(1, min(n_variants, limit))
 
 
@@ -316,10 +333,9 @@ def cmd_matmul_bench(args) -> int:
     sq_err = 0.0
     product_flops = 0
     for t in range(args.trials):
-        mark = FLOPS.value()
-        est, _ = mc.approx_matmul_bernoulli(a, b, args.k, stream(args.seed, "trial", t),
-                                            probs=probs)
-        product_flops += FLOPS.value() - mark
+        est, plan = mc.approx_matmul_bernoulli(a, b, args.k, stream(args.seed, "trial", t),
+                                               probs=probs)
+        product_flops += 2 * args.m * plan.indices.size * args.p
         diff = est - exact
         sq_err += float((diff * diff).sum())
     empirical = sq_err / args.trials

@@ -3,14 +3,16 @@
 Matrices are plain numpy arrays (row-major float64); vectors are 1-D arrays.
 Column access through ``m.T`` is a view, so per-column work never copies the
 matrix. Every product routed through this module adds its modeled scalar cost
-(2 multiply-adds per inner-product term) to the global ``FLOPS`` counter, which
-is the hardware-independent efficiency metric reported everywhere else.
+(2 multiply-adds per inner-product term) to the process-wide ``FLOPS`` meter,
+which charges it, with the wall seconds, to the innermost open phase; modeled
+FLOPs are the hardware-independent efficiency metric reported everywhere else.
 """
 
 from __future__ import annotations
 
-import threading
+import time
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,24 +20,54 @@ from .errors import DimensionError, NumericError, ParameterError
 
 
 class FlopCounter:
-    """Monotone, thread-safe tally of modeled floating-point operations."""
+    """Modeled floating-point operations and wall seconds, charged to phases.
+
+    Inside ``with FLOPS.phase(name)`` each ``add`` and each second goes to the
+    innermost open phase only; with no phase open nothing is recorded. The
+    open phases are one stack per process: meter one run at a time.
+    """
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
+        self._open = []
+        self._flops = {}
+        self._seconds = {}
+        self._mark = time.perf_counter()
 
     def add(self, n):
         if n < 0:
             raise ParameterError("flop increment must be non-negative")
-        with self._lock:
-            self._count += int(n)
+        if self._open:
+            self._flops[self._open[-1]] += int(n)
 
-    def value(self) -> int:
-        with self._lock:
-            return self._count
+    def _switch(self):
+        """Charge the seconds since the last switch to the innermost phase."""
+        now = time.perf_counter()
+        if self._open:
+            self._seconds[self._open[-1]] += now - self._mark
+        self._mark = now
+
+    @contextmanager
+    def phase(self, name: str):
+        self._switch()
+        self._flops.setdefault(name, 0)
+        self._seconds.setdefault(name, 0.0)
+        self._open.append(name)
+        try:
+            yield
+        finally:
+            self._switch()
+            self._open.pop()
+
+    def take(self) -> tuple[dict, dict]:
+        """(flops, seconds) by phase since the last take; resets both."""
+        self._switch()
+        taken = self._flops, self._seconds
+        self._flops = dict.fromkeys(self._open, 0)
+        self._seconds = dict.fromkeys(self._open, 0.0)
+        return taken
 
 
-#: Global counter; the only shared mutable global in the package.
+#: Process-wide meter; the only shared mutable global in the package.
 FLOPS = FlopCounter()
 
 

@@ -10,8 +10,8 @@ estimate. The output layer is always computed exactly under every policy.
 FLOP accounting: masked hidden-layer products are charged 2 * fan_in per
 computed entry (skipped columns cost nothing); products touching the output
 layer are charged in full; selection work (hash probes, mask-building
-products, sampling-probability norms) is charged to the policy-overhead
-tally as well as the global counter.
+products, sampling-probability norms) runs inside FLOPS.phase("policy_overhead"),
+so its FLOPs and seconds go to that phase and not to the caller's.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class ComputePolicy:
         self.reset_stats()
 
     def reset_stats(self):
-        self.overhead_flops = 0
         self.sampled_product_flops = 0
         self.replaced_exact_flops = 0
         self.fallback_events = 0
@@ -156,13 +155,13 @@ class AdaptiveDropoutPolicy(_ColumnPolicy):
 
     def _layer_mask(self, model, k, a_prev, rng):
         w, b = model.weights[k], model.biases[k]
-        z = a_prev @ w + b
-        full_cost = 2 * w.shape[0] * z.size
-        probs = adaptive_keep_probs(z, self.alpha, self.beta)
-        mask = rng.random(z.shape) < probs
-        kept_cost = 2 * w.shape[0] * int(mask.sum())
-        FLOPS.add(full_cost + 4 * z.size)
-        self.overhead_flops += full_cost - kept_cost + 4 * z.size
+        with FLOPS.phase("policy_overhead"):
+            z = a_prev @ w + b
+            probs = adaptive_keep_probs(z, self.alpha, self.beta)
+            mask = rng.random(z.shape) < probs
+            kept_cost = 2 * w.shape[0] * int(mask.sum())
+            FLOPS.add(2 * w.shape[0] * z.size - kept_cost + 4 * z.size)
+        FLOPS.add(kept_cost)
         scale = np.where(mask, 1.0 / probs, 1.0)
         return mask, scale, z
 
@@ -209,33 +208,26 @@ class AlshPolicy(_ColumnPolicy):
             self.indexes.append(
                 alsh_mod.build_index(model.weights[k].T, self.params, layer_seed))
 
-    def rebuild(self, model):
-        before = FLOPS.value()
-        self.indexes = [alsh_mod.rebuild_index(idx, model.weights[k].T)
-                        for k, idx in enumerate(self.indexes)]
-        self.overhead_flops += FLOPS.value() - before
-        self.rebuild_count += 1
-
     def on_samples_seen(self, model, samples_seen):
         # a batch may jump past a cadence boundary; rebuild at most once per call
-        for s in range(self._samples_seen + 1, samples_seen + 1):
-            if alsh_mod.rebuild_schedule(s):
-                self.rebuild(model)
-                break
+        seen = range(self._samples_seen + 1, samples_seen + 1)
+        if any(alsh_mod.rebuild_schedule(s) for s in seen):
+            self.indexes = [alsh_mod.rebuild_index(idx, model.weights[k].T)
+                            for k, idx in enumerate(self.indexes)]
+            self.rebuild_count += 1
         self._samples_seen = samples_seen
 
     def _layer_mask(self, model, k, a_prev, rng):
         width = self.indexes[k].n_columns
         mask = np.zeros((a_prev.shape[0], width), dtype=bool)
-        before = FLOPS.value()
-        for row in range(a_prev.shape[0]):
-            active = alsh_mod.query_active(self.indexes[k], a_prev[row])
-            if active.empty:
-                self.fallback_events += 1
-                mask[row, :] = True
-            else:
-                mask[row, active.node_ids] = True
-        self.overhead_flops += FLOPS.value() - before
+        with FLOPS.phase("policy_overhead"):
+            for row in range(a_prev.shape[0]):
+                active = alsh_mod.query_active(self.indexes[k], a_prev[row])
+                if active.empty:
+                    self.fallback_events += 1
+                    mask[row, :] = True
+                else:
+                    mask[row, active.node_ids] = True
         return mask, 1.0, None
 
     # prediction uses the exact network (same convention as dropout): the
@@ -274,9 +266,8 @@ class McBackpropPolicy(ComputePolicy):
     def _sampled_product(self, a, b, rng):
         shared = a.shape[1]
         k_eff = min(self.k_samples, shared)
-        before = FLOPS.value()
-        probs = mc_mod.optimal_probs_bernoulli(a, b, k_eff)
-        self.overhead_flops += FLOPS.value() - before
+        with FLOPS.phase("policy_overhead"):
+            probs = mc_mod.optimal_probs_bernoulli(a, b, k_eff)
         estimate, plan = mc_mod.approx_matmul_bernoulli(a, b, k_eff, rng, probs=probs)
         self.sampled_product_flops += 2 * a.shape[0] * plan.indices.size * b.shape[1]
         self.replaced_exact_flops += 2 * a.shape[0] * shared * b.shape[1]

@@ -1,8 +1,9 @@
 """Training loop tying the engine, policies, and metrics together.
 
 Batch size 1 is plain stochastic descent; larger batches switch the per-step
-products to matrix-matrix form. Wall time and FLOPs are tracked per phase;
-FLOPs are the hardware-independent numbers, wall seconds are informational.
+products to matrix-matrix form. Each call runs in a FLOPS.phase, which gets
+its modeled FLOPs and wall seconds; total_flops is the sum over phases. FLOPs
+are the hardware-independent numbers, wall seconds are informational.
 """
 
 from __future__ import annotations
@@ -35,21 +36,11 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
         raise ParameterError("epochs must be non-negative")
 
     policy.bind(model, seed)
+    FLOPS.take()  # bind's index build and any earlier work are setup, not training
     run_start = time.perf_counter()
-    flops_start = FLOPS.value()
 
-    t_forward = t_backward = t_policy = 0.0
-    f_forward = f_backward = 0
-    overhead_mark = policy.overhead_flops
-
-    def overhead_delta():
-        nonlocal overhead_mark
-        now = policy.overhead_flops
-        delta = now - overhead_mark
-        overhead_mark = now
-        return delta
-
-    val_accuracy = [evaluate_accuracy(model, split.validation)]
+    with FLOPS.phase("eval"):
+        val_accuracy = [evaluate_accuracy(model, split.validation)]
     features = split.train.features
     labels = split.train.labels
     n_train = len(split.train)
@@ -60,38 +51,28 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
         for lo in range(0, n_train, batch_size):
             idx = order[lo : lo + batch_size]
             xb, yb = features[idx], labels[idx]
-
-            t0 = time.perf_counter()
-            mark = FLOPS.value()
-            trace = policy.forward(model, xb)
-            t_forward += time.perf_counter() - t0
-            f_forward += FLOPS.value() - mark - overhead_delta()
-
-            t0 = time.perf_counter()
-            mark = FLOPS.value()
-            grads = policy.backward(model, trace, yb)
-            t_backward += time.perf_counter() - t0
-            f_backward += FLOPS.value() - mark - overhead_delta()
-
-            step(optimizer, model, grads)
-
+            with FLOPS.phase("feedforward"):
+                trace = policy.forward(model, xb)
+            with FLOPS.phase("backprop"):
+                grads = policy.backward(model, trace, yb)
+            with FLOPS.phase("optimizer"):
+                step(optimizer, model, grads)
             samples_seen += idx.size
-            t0 = time.perf_counter()
-            policy.on_samples_seen(model, samples_seen)
-            t_policy += time.perf_counter() - t0
-            overhead_delta()
-        val_accuracy.append(evaluate_accuracy(model, split.validation))
+            with FLOPS.phase("policy_overhead"):
+                policy.on_samples_seen(model, samples_seen)
+        with FLOPS.phase("eval"):
+            val_accuracy.append(evaluate_accuracy(model, split.validation))
 
-    if len(split.test):
-        cm = confusion(model, split.test)
-    else:
-        n = split.train.n_classes
-        cm = ConfusionMatrix(np.zeros((n, n), dtype=np.int64))
+    with FLOPS.phase("eval"):
+        if len(split.test):
+            cm = confusion(model, split.test)
+        else:
+            n = split.train.n_classes
+            cm = ConfusionMatrix(np.zeros((n, n), dtype=np.int64))
     distinct, _ = label_concentration(cm)
 
     total_seconds = time.perf_counter() - run_start
-    total_flops = FLOPS.value() - flops_start
-    f_overhead = policy.overhead_flops
+    phase_flops, phase_seconds = FLOPS.take()
 
     return TrainReport(
         policy=policy.describe(),
@@ -100,12 +81,10 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
         seed=seed,
         val_accuracy=val_accuracy,
         test_accuracy=cm.accuracy,
-        phase_seconds={"feedforward": t_forward, "backprop": t_backward,
-                       "policy_overhead": t_policy},
-        phase_flops={"feedforward": f_forward, "backprop": f_backward,
-                     "policy_overhead": f_overhead},
+        phase_seconds=phase_seconds,
+        phase_flops=phase_flops,
         total_seconds=total_seconds,
-        total_flops=total_flops,
+        total_flops=sum(phase_flops.values()),
         confusion=cm.counts.tolist(),
         label_histogram=cm.predicted_histogram().tolist(),
         distinct_predicted_labels=distinct,

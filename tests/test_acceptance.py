@@ -440,9 +440,9 @@ def test_c10_flop_accounting():
         draws = stream(91, "acc-flop-draws")
         ratios = []
         for _ in range(50):
-            before = FLOPS.value()
-            mc.approx_matmul_bernoulli(a, b, k, draws, probs=probs)
-            ratios.append((FLOPS.value() - before) / exact_flops)
+            with FLOPS.phase("product"):
+                mc.approx_matmul_bernoulli(a, b, k, draws, probs=probs)
+            ratios.append(FLOPS.take()[0]["product"] / exact_flops)
         ratio = float(np.mean(ratios))
         band_ok = 0.8 * k / n <= ratio <= 1.3 * k / n
 

@@ -57,6 +57,12 @@ class TestTrain:
                     "--set", "policy.kind=dropout", "--set", "policy.p_keep=0"])
         assert code == 2
 
+    def test_non_numeric_setting_is_usage_error(self, blob_config, tmp_path, capsys):
+        code = run(["train", "--config", str(blob_config),
+                    "--out", str(tmp_path / "x"), "--set", "epochs=abc"])
+        assert code == 2
+        assert "error: epochs must be an integer, got 'abc'" in capsys.readouterr().err
+
     def test_missing_idx_paths_usage_error(self, tmp_path):
         code = run(["train", "--out", str(tmp_path / "x"),
                     "--set", "dataset.kind=idx", "--set", "epochs=0"])
@@ -127,6 +133,14 @@ class TestSweep:
                     "--vary", "policy=exact,dropout"]) == 0
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["policy-exact", "policy-dropout"]
+
+    def test_non_numeric_thread_cap_is_usage_error(self, blob_config, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setenv(cli.THREADS_ENV, "two")
+        code = run(["sweep", "--config", str(blob_config), "--out", str(tmp_path / "x"),
+                    "--vary", "layers=1,2"])
+        assert code == 2
+        assert f"error: {cli.THREADS_ENV} must be an integer" in capsys.readouterr().err
 
     def test_unknown_axis_usage_error(self, blob_config, tmp_path):
         assert run(["sweep", "--config", str(blob_config),

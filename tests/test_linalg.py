@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -38,16 +40,9 @@ class TestMatmul:
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_flop_count_exact(self):
-        before = FLOPS.value()
-        matmul(np.zeros((4, 5)), np.zeros((5, 6)))
-        assert FLOPS.value() - before == 2 * 4 * 5 * 6
-
-    def test_flops_monotone(self):
-        values = []
-        for _ in range(5):
-            matmul(np.ones((2, 2)), np.ones((2, 2)))
-            values.append(FLOPS.value())
-        assert values == sorted(values)
+        with FLOPS.phase("product"):
+            matmul(np.zeros((4, 5)), np.zeros((5, 6)))
+        assert FLOPS.take()[0]["product"] == 2 * 4 * 5 * 6
 
     def test_associativity(self):
         rng = stream(11, "assoc")
@@ -76,14 +71,49 @@ class TestVecmat:
         rng = stream(3, "vecmat")
         v = rng.standard_normal(6)
         m = rng.standard_normal((6, 4))
-        before = FLOPS.value()
-        out = matmul(v[None, :], m)[0]
-        assert FLOPS.value() - before == 2 * 6 * 4
+        with FLOPS.phase("product"):
+            out = matmul(v[None, :], m)[0]
+        assert FLOPS.take()[0]["product"] == 2 * 6 * 4
         np.testing.assert_allclose(out, v @ m, atol=1e-14)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             matmul(np.zeros((1, 2)), np.zeros((3, 3)))
+
+
+class TestFlopMeter:
+    @pytest.fixture(autouse=True)
+    def fresh_meter(self):
+        FLOPS.take()
+
+    def test_nested_phase_charges_innermost_only(self):
+        with FLOPS.phase("outer"):
+            FLOPS.add(3)
+            with FLOPS.phase("inner"):
+                FLOPS.add(5)
+                time.sleep(0.02)
+            FLOPS.add(7)
+        flops, seconds = FLOPS.take()
+        assert flops == {"outer": 10, "inner": 5}
+        assert seconds["inner"] >= 0.02 > seconds["outer"]
+
+    def test_exception_restores_outer_phase(self):
+        with FLOPS.phase("outer"):
+            with pytest.raises(ValueError):
+                with FLOPS.phase("inner"):
+                    raise ValueError("inside the inner phase")
+            FLOPS.add(4)
+        assert FLOPS.take()[0] == {"outer": 4, "inner": 0}
+
+    def test_take_resets_totals(self):
+        with FLOPS.phase("product"):
+            FLOPS.add(6)
+        assert FLOPS.take()[0] == {"product": 6}
+        assert FLOPS.take() == ({}, {})
+
+    def test_work_outside_phases_is_not_recorded(self):
+        matmul(np.ones((2, 2)), np.ones((2, 2)))
+        assert FLOPS.take() == ({}, {})
 
 
 class TestNorms:

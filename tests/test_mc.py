@@ -292,7 +292,7 @@ class TestApproxBernoulli:
         draw_rng = stream(16, "bern-flop-draws")
         ratios = []
         for _ in range(50):
-            before = FLOPS.value()
-            approx_matmul_bernoulli(a, b, k, draw_rng, probs=probs)
-            ratios.append((FLOPS.value() - before) / exact_flops)
+            with FLOPS.phase("product"):
+                approx_matmul_bernoulli(a, b, k, draw_rng, probs=probs)
+            ratios.append(FLOPS.take()[0]["product"] / exact_flops)
         assert 0.8 * k / n <= np.mean(ratios) <= 1.3 * k / n

@@ -90,9 +90,9 @@ class TestForward:
     def test_flop_count_is_quadratic_in_width(self):
         def forward_flops(width):
             model = init_weights([8, width, width, 3], seed=0)
-            before = FLOPS.value()
-            forward(model, np.zeros(8))
-            return FLOPS.value() - before
+            with FLOPS.phase("feedforward"):
+                forward(model, np.zeros(8))
+            return FLOPS.take()[0]["feedforward"]
 
         f1, f2 = forward_flops(64), forward_flops(128)
         assert f1 == 2 * (8 * 64 + 64 * 64 + 64 * 3)

@@ -38,9 +38,9 @@ def grads_equal(a, b):
 
 
 def backprop_flops(policy, model, trace, targets):
-    before = FLOPS.value()
-    policy.backward(model, trace, targets)
-    return FLOPS.value() - before
+    with FLOPS.phase("backprop"):
+        policy.backward(model, trace, targets)
+    return sum(FLOPS.take()[0].values())
 
 
 def near_parallel_columns_model(seed=0):
@@ -169,8 +169,9 @@ class TestAdaptiveDropout:
         model = nn.init_weights([5, 7, 3], seed=8)
         policy = AdaptiveDropoutPolicy()
         policy.bind(model, seed=0)
-        policy.forward(model, np.ones(5))
-        assert policy.overhead_flops > 0
+        with FLOPS.phase("feedforward"):
+            policy.forward(model, np.ones(5))
+        assert FLOPS.take()[0]["policy_overhead"] > 0
 
 
 class TestAlshPolicy:
@@ -343,9 +344,10 @@ class TestMcBackprop:
         policy.bind(model, seed=0)
         x = stream(29, "x").standard_normal(512)
         trace = policy.forward(model, x)
-        policy.backward(model, trace, 3)
+        with FLOPS.phase("backprop"):
+            policy.backward(model, trace, 3)
         saved = policy.replaced_exact_flops - policy.sampled_product_flops
-        assert policy.overhead_flops > saved
+        assert FLOPS.take()[0]["policy_overhead"] > saved
 
     def test_k_exceeding_width_rejected_at_bind(self):
         model = nn.init_weights([4, 3, 2], seed=0)

@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from subsample_nn.data import synth_blobs, split
+from subsample_nn.linalg import FLOPS
 from subsample_nn.nn import Optimizer, init_weights
 from subsample_nn.policies import make_policy
 from subsample_nn.train import train
@@ -51,10 +53,26 @@ def test_batched_training_runs_and_counts_phases():
     assert report.phase_flops["feedforward"] > 0
     assert report.phase_flops["backprop"] > 0
     assert report.phase_flops["policy_overhead"] > 0
-    assert report.total_flops >= sum(report.phase_flops.values())
+    assert report.total_flops == sum(report.phase_flops.values())
     total_phase_seconds = sum(report.phase_seconds.values())
     assert total_phase_seconds <= report.total_seconds
     assert report.sampled_product_flops < report.replaced_exact_flops
+
+
+@pytest.mark.parametrize("kind", ["exact", "dropout", "adaptive_dropout", "alsh", "mc"])
+def test_phases_attribute_every_flop(kind):
+    sp = split(synth_blobs(500, 16, 3, separation=10.0, seed=0), 300, 100, 100, seed=0)
+    model = init_weights([16, 32, 3], seed=1)
+    policy = make_policy(kind, k_samples=8) if kind == "mc" else make_policy(kind)
+    # a phase around the run gets whatever train charges outside its own phases
+    with FLOPS.phase("outside"):
+        report = train(model, sp, policy, Optimizer("adam", 1e-3), epochs=1, batch_size=1,
+                       seed=6)
+    FLOPS.take()
+    assert report.phase_flops.pop("outside") == 0
+    assert sum(report.phase_flops.values()) == report.total_flops
+    # validation before and after the epoch, then the test set: 300 exact forwards
+    assert report.phase_flops["eval"] == 300 * 2 * (16 * 32 + 32 * 3)
 
 
 def test_alsh_run_reports_sparsity_and_rebuilds():
