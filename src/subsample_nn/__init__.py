@@ -3,7 +3,7 @@
 from .analysis import (ConfusionMatrix, LayerErrorProfile, TrainReport,
                        build_theorem1_network, confusion, label_concentration,
                        lemma1_error, theorem1_check)
-from .alsh import (ActiveSet, AlshIndex, AlshParams, build_index,
+from .alsh import (AlshIndex, AlshParams, build_index,
                    collision_probability, query_active, rebuild_index,
                    rebuild_schedule, transform_data, transform_query)
 from .data import Dataset, Split, load_idx, split, synth_blobs, synth_digits, write_idx

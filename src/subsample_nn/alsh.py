@@ -3,10 +3,12 @@
 Data vectors are scaled into the unit ball and padded with powers of their
 norm; queries are unit-normalized and padded with constant 1/2. After that
 transform, nearest-neighbor search under sign-projection hashing approximates
-maximum inner-product search, so probing a query's buckets returns the columns
-with the largest activations. A vector agreeing with the query on one random
-hyperplane with probability p lands in the same bucket of at least one of L
-K-bit tables with probability 1 - (1 - p^K)^L.
+maximum inner-product search, so the columns sharing a query's bucket are
+those with the largest activations. The index holds each column's K-bit
+bucket id in each of L tables; a query returns the columns matching its own
+id in at least one table. A vector agreeing with the query on one random
+hyperplane with probability p shares a bucket in at least one table with
+probability 1 - (1 - p^K)^L.
 """
 
 from __future__ import annotations
@@ -33,28 +35,13 @@ class AlshParams:
             raise ParameterError("norm_bound must lie strictly between 0 and 1")
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Deduplicated node ids selected as active for one query."""
-
-    node_ids: np.ndarray
-
-    def __len__(self):
-        return self.node_ids.size
-
-    @property
-    def empty(self):
-        return self.node_ids.size == 0
-
-
 @dataclass
 class AlshIndex:
     params: AlshParams
     dim: int  # original column length
     scale: float  # columns are divided by this before padding
     projections: np.ndarray  # (tables, bits, dim + pad_terms)
-    buckets: list  # per table: list of 2**bits lists of column ids
-    n_columns: int
+    signatures: np.ndarray  # (n_columns, tables): each column's bucket id per table
 
 
 def transform_data(w, pad_terms, scale=1.0) -> np.ndarray:
@@ -132,25 +119,18 @@ def _fill_tables(cols, params, projections):
     pads = scaled_norms[:, None] ** exponents[None, :]
     transformed = np.concatenate([scaled, pads], axis=1)
 
-    ids = _signatures(transformed, projections)
-    buckets = [[[] for _ in range(1 << params.bits)] for _ in range(params.tables)]
-    for col, row in enumerate(ids):
-        for t in range(params.tables):
-            buckets[t][int(row[t])].append(col)
-    return AlshIndex(params, cols.shape[1], scale, projections, buckets, cols.shape[0])
+    return AlshIndex(params, cols.shape[1], scale, projections,
+                     _signatures(transformed, projections))
 
 
-def query_active(index: AlshIndex, a) -> ActiveSet:
-    """Union of the buckets matching the transformed query in every table."""
+def query_active(index: AlshIndex, a) -> np.ndarray:
+    """Sorted ids of the columns sharing the query's bucket in any table."""
     a = as_vector(a)
     if a.shape[0] != index.dim:
         raise DimensionError(f"query length {a.shape[0]} != indexed {index.dim}")
     q = transform_query(a, index.params.pad_terms)
-    ids = _signatures(q[None, :], index.projections)[0]
-    hits = []
-    for t in range(index.params.tables):
-        hits.extend(index.buckets[t][int(ids[t])])
-    return ActiveSet(np.unique(np.asarray(hits, dtype=np.int64)))
+    ids = _signatures(q[None, :], index.projections)
+    return np.flatnonzero((index.signatures == ids).any(axis=1))
 
 
 def collision_probability(p: float, bits: int, tables: int) -> float:

@@ -135,7 +135,7 @@ def build_dataset(cfg: dict, seed: int) -> data.Split:
             raise ParameterError("idx dataset needs 'images' and 'labels' paths")
         ds = data.load_idx(ds_cfg["images"], ds_cfg["labels"])
     elif kind == "synth_digits":
-        ds = data.synth_digits(total, seed=seed, noise=ds_cfg.get("noise", 0.12))
+        ds = data.synth_digits(total, seed=seed, noise=ds_cfg["noise"])
     elif kind == "synth_blobs":
         ds = data.synth_blobs(total, ds_cfg["n_features"], ds_cfg["n_classes"],
                               ds_cfg["separation"], seed=seed)
@@ -194,7 +194,13 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# sweep axis -> the setting each value is assigned to, as by --set
+SWEEP_AXES = {"layers": "architecture.hidden_layers", "batch": "batch_size"}
+
+
 def _variant_configs(config: dict, vary: str):
+    """One resolved config per value of the swept axis, so a bad value is
+    reported before any run starts."""
     if "=" not in vary:
         raise ParameterError("--vary expects forms like layers=1,2,3")
     axis, raw = vary.split("=", 1)
@@ -204,15 +210,13 @@ def _variant_configs(config: dict, vary: str):
     variants = []
     for value in values:
         cfg = copy.deepcopy(config)
-        if axis == "layers":
-            cfg["architecture"]["hidden_layers"] = int(value)
-        elif axis == "batch":
-            cfg["batch_size"] = int(value)
+        if axis in SWEEP_AXES:
+            _apply_set(cfg, f"{SWEEP_AXES[axis]}={value}")
         elif axis == "policy":
             cfg["policy"] = {"kind": value}
         else:
             raise ParameterError(f"unknown sweep axis {axis!r}")
-        variants.append((f"{axis}-{value}", cfg))
+        variants.append((f"{axis}-{value}", resolve_config(cfg)))
     return variants
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, ParameterError
-from .linalg import FLOPS, as_matrix, col_norms, rng_choice_weighted, row_norms, stream
+from .linalg import FLOPS, as_matrix, col_norms, rng_choice_weighted, row_norms
 
 
 @dataclass
@@ -67,8 +67,6 @@ def approx_matmul_cr(a, b, c_samples, rng, probs=None, indices=None):
     if probs is None:
         probs = optimal_probs_cr(a, b)
     probs = np.asarray(probs, dtype=np.float64)
-    if isinstance(rng, (int, np.integer)):
-        rng = stream(rng, "cr")
     if indices is None:
         indices = rng_choice_weighted(rng, probs, size=c_samples)
     else:
@@ -131,8 +129,6 @@ def approx_matmul_bernoulli(a, b, k, rng, probs=None):
     if probs is None:
         probs = optimal_probs_bernoulli(a, b, k)
     probs = np.asarray(probs, dtype=np.float64)
-    if isinstance(rng, (int, np.integer)):
-        rng = stream(rng, "bernoulli")
     draws = rng.random(probs.shape[0])
     kept = np.flatnonzero(draws < probs)
     scales = 1.0 / probs[kept]

@@ -1,8 +1,9 @@
 """MLP engine: forward, backprop, optimizers, init, checkpoints.
 
-forward and backward are the only per-layer loops in the package. They run
-exactly by default; compute policies pass a node selector to forward and a
-product function to backward (see policies.py). Activations are batched
+forward and backward are the only per-layer loops in the package, and the only
+place masked products are charged (2 * fan_in per kept node). They run exactly
+by default; compute policies pass a node selector to forward, and MC backprop
+a product function to backward (see policies.py). Activations are batched
 row-wise: a (b, n) array holds b samples. The output layer always applies
 log-softmax and the loss is mean negative log-likelihood, so the output-layer
 delta is (softmax(z) - onehot) / batch.
@@ -22,6 +23,7 @@ from .linalg import FLOPS, matmul, require_finite, stream
 HIDDEN_ACTIVATIONS = ("relu", "linear")
 CHECKPOINT_MAGIC = b"MLPC"
 CHECKPOINT_VERSION = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -91,12 +93,10 @@ class Gradients:
     biases: list[np.ndarray]
 
 
-def init_weights(layer_dims, scheme="he_uniform", seed=0) -> MlpModel:
+def init_weights(layer_dims, seed=0) -> MlpModel:
     """He-uniform weights (bound sqrt(6/fan_in)), zero biases."""
     if any(d < 1 for d in layer_dims):
         raise ParameterError("layer dims must be positive")
-    if scheme != "he_uniform":
-        raise ParameterError(f"unknown init scheme {scheme!r}")
     rng = stream(seed, "init")
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -137,9 +137,10 @@ def forward(model: MlpModel, x, select=None) -> ForwardTrace:
 
     select(k, a) picks the kept nodes of hidden layer k from its input batch a
     and returns (mask, scale, z). z is None when the mask is chosen before the
-    product, which is then charged 2 * fan_in per kept entry only. Masked-out
-    nodes are exactly zero; kept activations are multiplied by scale. The
-    output layer is always exact.
+    product, which is then computed here. The product is charged 2 * fan_in
+    per kept entry either way; a selector that computed z charges the skipped
+    share itself. Masked-out nodes are exactly zero; kept activations are
+    multiplied by scale. The output layer is always exact.
     """
     a = _as_batch(x, model.n_inputs)
     pre, acts = [], [a]
@@ -151,9 +152,9 @@ def forward(model: MlpModel, x, select=None) -> ForwardTrace:
             z = matmul(a, w) + b
         else:
             mask, scale, z = select(k, a)
+            FLOPS.add(2 * w.shape[0] * int(mask.sum()))
             if z is None:
                 z = np.where(mask, a @ w + b, 0.0)
-                FLOPS.add(2 * w.shape[0] * int(mask.sum()))
             masks.append(mask)
             scales.append(scale)
         if k == last:
@@ -197,10 +198,18 @@ def backward(model: MlpModel, trace: ForwardTrace, targets, product=None) -> Gra
 
     product(k, a, b) computes each of layer k's two backprop products, the
     weight gradient activations[k].T @ delta and the propagated delta @
-    weights[k].T; the default is the exact matmul. Nodes the trace masked out
-    pass no delta back, and kept ones carry the trace's scale.
+    weights[k].T. The default is the exact product, charged in full, except
+    for a hidden layer the trace masked: both of its products touch fan_in
+    terms per kept node, and only those are charged. Nodes the trace masked
+    out pass no delta back, and kept ones carry the trace's scale.
     """
-    product = product or (lambda k, a, b: matmul(a, b))
+    def exact(k, a, b):
+        if trace.masks is None or k == model.n_layers - 1:
+            return matmul(a, b)
+        FLOPS.add(2 * model.weights[k].shape[0] * int(trace.masks[k].sum()))
+        return a @ b
+
+    product = product or exact
     delta = output_delta(trace, targets)
     grads_w = [None] * model.n_layers
     grads_b = [None] * model.n_layers
@@ -226,9 +235,6 @@ def backward(model: MlpModel, trace: ForwardTrace, targets, product=None) -> Gra
 class Optimizer:
     kind: str = "sgd"  # "sgd" or "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     _m: list = field(default_factory=list, repr=False)
     _v: list = field(default_factory=list, repr=False)
@@ -261,7 +267,7 @@ def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
     _ensure_adam_state(optimizer, model)
     optimizer.step_count += 1
     t = optimizer.step_count
-    b1, b2, eps = optimizer.beta1, optimizer.beta2, optimizer.eps
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     for k in range(model.n_layers):
@@ -273,7 +279,7 @@ def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            param -= eta * (m / bias1) / (np.sqrt(v / bias2) + eps)
+            param -= eta * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ only through selected nodes. The Monte-Carlo policy runs the forward pass
 exactly and replaces each backprop matrix product with a Bernoulli-sampled
 estimate. The output layer is always computed exactly under every policy.
 
-FLOP accounting: masked hidden-layer products are charged 2 * fan_in per
-computed entry (skipped columns cost nothing); products touching the output
-layer are charged in full; selection work (hash probes, mask-building
-products, sampling-probability norms) runs inside FLOPS.phase("policy_overhead"),
-so its FLOPs and seconds go to that phase and not to the caller's.
+FLOP accounting: nn.forward and nn.backward charge masked hidden-layer
+products 2 * fan_in per kept node (skipped nodes cost nothing) and products
+touching the output layer in full. The policies charge only their selection
+work (hash probes, the skipped share of a mask-building product,
+sampling-probability norms), inside FLOPS.phase("policy_overhead"), so its
+FLOPs and seconds go to that phase and not to the caller's.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import alsh as alsh_mod
 from . import mc as mc_mod
 from . import nn
 from .errors import ParameterError
-from .linalg import FLOPS, matmul, stream
+from .linalg import FLOPS, stream
 
 
 def _stable_sigmoid(x):
@@ -72,10 +73,10 @@ class ComputePolicy:
 
     # -- hooks -------------------------------------------------------------
 
-    def forward(self, model, x, rng=None) -> nn.ForwardTrace:
+    def forward(self, model, x) -> nn.ForwardTrace:
         return nn.forward(model, x)
 
-    def backward(self, model, trace, targets, rng=None) -> nn.Gradients:
+    def backward(self, model, trace, targets) -> nn.Gradients:
         return nn.backward(model, trace, targets)
 
     def on_samples_seen(self, model, samples_seen):
@@ -84,33 +85,21 @@ class ComputePolicy:
 
 class _ColumnPolicy(ComputePolicy):
     """Node selection: forward computes hidden layer k only for the nodes
-    `_layer_mask` keeps, and backward charges only the kept entries."""
+    `_layer_mask` keeps; the inherited backward follows the trace's masks."""
 
     def _layer_mask(self, model, k, a_prev, rng):
         """Return (mask, scale, z) for hidden layer k. z is None when the mask
         is chosen before the product, which is then computed only where kept."""
         raise NotImplementedError
 
-    def forward(self, model, x, rng=None):
-        rng = rng if rng is not None else self._rng
-
+    def forward(self, model, x):
         def select(k, a_prev):
-            mask, scale, z = self._layer_mask(model, k, a_prev, rng)
+            mask, scale, z = self._layer_mask(model, k, a_prev, self._rng)
             self.active_fraction_sum += mask.mean(axis=1).sum()
             self.active_queries += a_prev.shape[0]
             return mask, scale, z
 
         return nn.forward(model, x, select)
-
-    def backward(self, model, trace, targets, rng=None):
-        def product(k, a, b):
-            if k == model.n_layers - 1:
-                return matmul(a, b)
-            # both products of a hidden layer touch fan_in terms per kept node
-            FLOPS.add(2 * model.weights[k].shape[0] * int(trace.masks[k].sum()))
-            return a @ b
-
-        return nn.backward(model, trace, targets, product)
 
 
 class DropoutPolicy(_ColumnPolicy):
@@ -139,8 +128,8 @@ class AdaptiveDropoutPolicy(_ColumnPolicy):
     pre-activations (shared weights), sampled per node per sample.
 
     Building the mask needs the full pre-activation, so the full product is
-    computed; the kept share is charged as forward work and the remainder,
-    plus the sigmoid pass, as policy overhead.
+    computed; nn.forward charges the kept share as forward work, and the
+    skipped share plus the sigmoid pass are charged here as policy overhead.
     """
 
     name = "adaptive_dropout"
@@ -159,9 +148,7 @@ class AdaptiveDropoutPolicy(_ColumnPolicy):
             z = a_prev @ w + b
             probs = adaptive_keep_probs(z, self.alpha, self.beta)
             mask = rng.random(z.shape) < probs
-            kept_cost = 2 * w.shape[0] * int(mask.sum())
-            FLOPS.add(2 * w.shape[0] * z.size - kept_cost + 4 * z.size)
-        FLOPS.add(kept_cost)
+            FLOPS.add(2 * w.shape[0] * int((~mask).sum()) + 4 * z.size)
         scale = np.where(mask, 1.0 / probs, 1.0)
         return mask, scale, z
 
@@ -218,16 +205,15 @@ class AlshPolicy(_ColumnPolicy):
         self._samples_seen = samples_seen
 
     def _layer_mask(self, model, k, a_prev, rng):
-        width = self.indexes[k].n_columns
-        mask = np.zeros((a_prev.shape[0], width), dtype=bool)
+        mask = np.zeros((a_prev.shape[0], model.layer_dims[k + 1]), dtype=bool)
         with FLOPS.phase("policy_overhead"):
             for row in range(a_prev.shape[0]):
                 active = alsh_mod.query_active(self.indexes[k], a_prev[row])
-                if active.empty:
+                if active.size:
+                    mask[row, active] = True
+                else:
                     self.fallback_events += 1
                     mask[row, :] = True
-                else:
-                    mask[row, active.node_ids] = True
         return mask, 1.0, None
 
     # prediction uses the exact network (same convention as dropout): the
@@ -263,20 +249,18 @@ class McBackpropPolicy(ComputePolicy):
                     f"k_samples={self.k_samples} exceeds hidden width {width}")
         super().bind(model, seed)
 
-    def _sampled_product(self, a, b, rng):
+    def _sampled_product(self, k, a, b):
         shared = a.shape[1]
         k_eff = min(self.k_samples, shared)
         with FLOPS.phase("policy_overhead"):
             probs = mc_mod.optimal_probs_bernoulli(a, b, k_eff)
-        estimate, plan = mc_mod.approx_matmul_bernoulli(a, b, k_eff, rng, probs=probs)
+        estimate, plan = mc_mod.approx_matmul_bernoulli(a, b, k_eff, self._rng, probs=probs)
         self.sampled_product_flops += 2 * a.shape[0] * plan.indices.size * b.shape[1]
         self.replaced_exact_flops += 2 * a.shape[0] * shared * b.shape[1]
         return estimate
 
-    def backward(self, model, trace, targets, rng=None):
-        rng = rng if rng is not None else self._rng
-        return nn.backward(model, trace, targets,
-                           lambda k, a, b: self._sampled_product(a, b, rng))
+    def backward(self, model, trace, targets):
+        return nn.backward(model, trace, targets, self._sampled_product)
 
 
 # kind -> (constructor, accepted config parameters); defaults live in the

@@ -264,7 +264,7 @@ def test_c05_distance_identity_and_recall():
         bound = collision_probability(p1, params.bits, params.tables)
         trials = 10_000
         hits = sum(
-            top1 in query_active(build_index(cols, params, seed=9000 + i), query).node_ids
+            top1 in query_active(build_index(cols, params, seed=9000 + i), query)
             for i in range(trials))
         sigma = np.sqrt(bound * (1 - bound) / trials)
         recall_ok = hits / trials >= bound - 3 * sigma

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from subsample_nn.alsh import (AlshParams, build_index, collision_probability,
-                               query_active, rebuild_index, rebuild_schedule,
-                               transform_data, transform_query)
+from subsample_nn.alsh import (AlshParams, _signatures, build_index,
+                               collision_probability, query_active, rebuild_index,
+                               rebuild_schedule, transform_data, transform_query)
 from subsample_nn.errors import NormBoundError, ParameterError
 from subsample_nn.linalg import stream
 
@@ -11,6 +11,11 @@ from subsample_nn.linalg import stream
 def angle(u, v):
     cos = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
     return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def bucket_sizes(idx, table):
+    """Column count of every bucket of one table."""
+    return np.bincount(idx.signatures[:, table], minlength=1 << idx.params.bits)
 
 
 class TestTransforms:
@@ -70,23 +75,24 @@ class TestTransforms:
 class TestIndex:
     def test_single_column_one_bucket_per_table(self):
         idx = build_index(np.array([[1.0, 2.0, 3.0]]), AlshParams(), seed=0)
-        for table in idx.buckets:
-            sizes = [len(bucket) for bucket in table]
-            assert sum(sizes) == 1
-            assert max(sizes) == 1
+        for table in range(idx.params.tables):
+            sizes = bucket_sizes(idx, table)
+            assert sizes.size == 1 << idx.params.bits
+            assert sizes.sum() == 1
+            assert sizes.max() == 1
 
     def test_duplicate_columns_share_buckets(self):
         col = stream(3, "dup").standard_normal(8)
         idx = build_index(np.stack([col, col]), AlshParams(), seed=1)
-        for table in idx.buckets:
-            for bucket in table:
-                assert bucket in ([], [0, 1])
+        np.testing.assert_array_equal(idx.signatures[0], idx.signatures[1])
 
     def test_occupancy_sums_to_column_count(self):
         cols = stream(4, "occ").standard_normal((100, 16))
         idx = build_index(cols, AlshParams(), seed=2)
-        for table in idx.buckets:
-            assert sum(len(bucket) for bucket in table) == 100
+        for table in range(idx.params.tables):
+            sizes = bucket_sizes(idx, table)
+            assert sizes.size == 1 << idx.params.bits
+            assert sizes.sum() == 100
 
     def test_scale_puts_largest_column_on_bound(self):
         cols = stream(5, "scale").standard_normal((10, 6))
@@ -99,8 +105,8 @@ class TestIndex:
         cols = stream(6, "subset").standard_normal((20, 8))
         idx = build_index(cols, AlshParams(), seed=4)
         active = query_active(idx, stream(7, "q").standard_normal(8))
-        assert (active.node_ids >= 0).all() and (active.node_ids < 20).all()
-        assert len(np.unique(active.node_ids)) == len(active.node_ids)
+        assert (active >= 0).all() and (active < 20).all()
+        assert len(np.unique(active)) == len(active)
 
     def test_more_tables_never_shrink_active_set(self):
         # same seed gives a shared projection prefix, so tables are additive
@@ -109,7 +115,7 @@ class TestIndex:
         previous = set()
         for tables in (1, 2, 4, 8):
             idx = build_index(cols, AlshParams(tables=tables), seed=5)
-            active = set(query_active(idx, query).node_ids.tolist())
+            active = set(query_active(idx, query).tolist())
             assert previous <= active
             previous = active
 
@@ -128,7 +134,7 @@ class TestIndex:
         analytic = collision_probability(p1, params.bits, params.tables)
         for t in range(trials):
             idx = build_index(cols, params, seed=100 + t)
-            if target in query_active(idx, cols[target]).node_ids:
+            if target in query_active(idx, cols[target]):
                 hits += 1
         sigma = np.sqrt(analytic * (1 - analytic) / trials)
         assert hits / trials >= analytic - 3 * sigma
@@ -139,19 +145,38 @@ class TestIndex:
         idx = build_index(cols, AlshParams(), seed=6)
         updated = cols + 0.5 * rng.standard_normal(cols.shape)
         rebuilt = rebuild_index(idx, updated)
-        assert rebuilt.buckets != idx.buckets or np.array_equal(cols, updated)
+        assert (not np.array_equal(rebuilt.signatures, idx.signatures)
+                or np.array_equal(cols, updated))
         # identical projections imply identical buckets for identical data
         again = rebuild_index(idx, updated)
-        assert rebuilt.buckets == again.buckets
+        np.testing.assert_array_equal(rebuilt.signatures, again.signatures)
         q = updated[7]
-        np.testing.assert_array_equal(query_active(rebuilt, q).node_ids,
-                                      query_active(again, q).node_ids)
+        np.testing.assert_array_equal(query_active(rebuilt, q), query_active(again, q))
 
     def test_rebuild_without_change_is_identity(self):
         cols = stream(12, "stable").standard_normal((15, 6))
         idx = build_index(cols, AlshParams(), seed=7)
         rebuilt = rebuild_index(idx, cols)
-        assert rebuilt.buckets == idx.buckets
+        np.testing.assert_array_equal(rebuilt.signatures, idx.signatures)
+
+    @pytest.mark.parametrize("n_columns,dim,bits,tables", [
+        (1, 3, 6, 5), (20, 8, 6, 5), (64, 32, 2, 3), (128, 16, 6, 5), (50, 10, 1, 8),
+    ])
+    def test_query_matches_bucket_union(self, n_columns, dim, bits, tables):
+        # reference: a loop over the columns, keeping those that share the
+        # query's bucket id in at least one table
+        params = AlshParams(bits=bits, tables=tables)
+        rng = stream(13, "union", n_columns)
+        idx = build_index(rng.standard_normal((n_columns, dim)), params, seed=n_columns)
+        queries = [rng.standard_normal(dim) for _ in range(20)] + [np.zeros(dim)]
+        for query in queries:
+            q = transform_query(query, params.pad_terms)
+            query_ids = _signatures(q[None, :], idx.projections)[0]
+            expected = [col for col, row in enumerate(idx.signatures)
+                        if any(row[t] == query_ids[t] for t in range(tables))]
+            active = query_active(idx, query)
+            assert active.tolist() == expected
+            assert len(active) == len(expected)
 
 
 class TestMipsRecall:
@@ -176,7 +201,7 @@ class TestMipsRecall:
             variance += trials_per_instance * p_hit * (1 - p_hit)
             for t in range(trials_per_instance):
                 idx = build_index(cols, params, seed=5000 + inst * 1000 + t)
-                if top1 in query_active(idx, query).node_ids:
+                if top1 in query_active(idx, query):
                     total_hits += 1
         assert total_hits >= expected - 3 * np.sqrt(variance)
 

@@ -1,0 +1,61 @@
+"""What the traced benchmark run (perfbench/worker.py WORKLOAD SEED 1) needs
+from the package: a deletion that breaks it fails here rather than in the run."""
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from subsample_nn import policies
+from subsample_nn.alsh import AlshParams, build_index, query_active
+from subsample_nn.linalg import stream
+from subsample_nn.mc import approx_matmul_bernoulli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+FUNCTIONS = [b for b in workloads.BOUNDARIES if not b.startswith("policies.")]
+POLICY_HOOKS = ["bind", "forward", "backward", "on_samples_seen"]
+
+
+@pytest.mark.parametrize("boundary", FUNCTIONS)
+def test_function_boundary_resolves(boundary):
+    module, attr = boundary.split(".")
+    target = getattr(importlib.import_module(f"subsample_nn.{module}"), attr, None)
+    assert inspect.isfunction(target), f"{boundary} is not a function"
+
+
+def test_policy_boundaries_are_the_hooks():
+    assert sorted(b.split(".")[1] for b in workloads.BOUNDARIES
+                  if b.startswith("policies.")) == sorted(POLICY_HOOKS)
+
+
+@pytest.mark.parametrize("kind", sorted(policies._POLICIES))
+def test_every_policy_kind_has_the_hooks(kind):
+    policy = policies.make_policy(kind)
+    for hook in POLICY_HOOKS:
+        assert callable(getattr(policy, hook, None)), f"{kind} lacks {hook}"
+
+
+def test_query_length_is_the_node_count():
+    # the worker's alsh.nodes_per_query sums len() of query_active's result
+    cols = stream(0, "contract-cols").standard_normal((128, 16))
+    idx = build_index(cols, AlshParams(), seed=1)
+    query = stream(1, "contract-q").standard_normal(16)
+    active = query_active(idx, query)
+    mask = np.zeros(128, dtype=bool)
+    mask[active] = True
+    assert len(active) == mask.sum()
+
+
+def test_bernoulli_plan_reports_kept_indices():
+    # the worker's mc.kept_fraction reads result[1].indices
+    rng = stream(2, "contract-mc")
+    a, b = rng.standard_normal((4, 12)), rng.standard_normal((12, 3))
+    estimate, plan = approx_matmul_bernoulli(a, b, 5, stream(3, "contract-draws"))
+    assert estimate.shape == (4, 3)
+    assert plan.indices.ndim == 1 and plan.indices.size <= 12
+

@@ -146,6 +146,19 @@ class TestSweep:
         assert run(["sweep", "--config", str(blob_config),
                     "--out", str(tmp_path / "x"), "--vary", "width=1,2"]) == 2
 
+    @pytest.mark.parametrize("vary,setting", [
+        ("layers=1,abc", "architecture.hidden_layers"), ("batch=1,abc", "batch_size"),
+    ])
+    def test_non_numeric_vary_is_usage_error(self, blob_config, tmp_path, monkeypatch,
+                                             capsys, vary, setting):
+        monkeypatch.setenv(cli.THREADS_ENV, "1")
+        out = tmp_path / "x"
+        code = run(["sweep", "--config", str(blob_config), "--out", str(out),
+                    "--vary", vary])
+        assert code == 2
+        assert f"error: {setting} must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()  # the valid first value never ran
+
 
 class TestVerifyTheory:
     def test_default_passes_and_prints_table(self, capsys):

@@ -97,6 +97,23 @@ class TestDropout:
         exact_flops = backprop_flops(exact, model, exact.forward(model, x), 1)
         assert dropout_flops == exact_flops == 2 * (784 * 128 + 128 * 10 + 10 * 128)
 
+    def test_masked_trace_backward_charges_kept_only(self):
+        # the engine's default product reads the trace's masks: each hidden
+        # layer's products cost 2 * fan_in per kept node, the output layer's
+        # are charged in full, and no delta is propagated below layer 0
+        model = nn.init_weights([6, 8, 8, 3], seed=8)
+        policy = DropoutPolicy(p_keep=0.5)
+        policy.bind(model, seed=9)
+        x = stream(10, "x").standard_normal((4, 6))
+        trace = policy.forward(model, x)
+        kept = [int(mask.sum()) for mask in trace.masks]
+        assert 0 < kept[0] < 4 * 8 and 0 < kept[1] < 4 * 8
+        expected = 2 * 6 * kept[0] + 2 * (2 * 8 * kept[1]) + 2 * (2 * 4 * 8 * 3)
+        with FLOPS.phase("backprop"):
+            nn.backward(model, trace, [0, 1, 2, 0])
+        assert FLOPS.take()[0]["backprop"] == expected
+        assert backprop_flops(policy, model, trace, [0, 1, 2, 0]) == expected
+
     def test_backward_uses_masks_of_its_own_trace(self):
         # a second forward before the backward must not change the gradients
         model = nn.init_weights([6, 12, 12, 3], seed=5)
@@ -208,9 +225,7 @@ class TestAlshPolicy:
         model = nn.init_weights([5, 4, 3], seed=14)
         policy = AlshPolicy(AlshParams())
         policy.bind(model, seed=0)
-        for table in policy.indexes[0].buckets:
-            for bucket in table:
-                bucket.clear()
+        policy.indexes[0].signatures[:] = -1  # no bucket id a query can match
         x = stream(15, "x").standard_normal(5)
         trace = policy.forward(model, x)
         assert policy.fallback_events == 1
@@ -232,11 +247,12 @@ class TestAlshPolicy:
         policy.bind(model, seed=0)
         policy.on_samples_seen(model, 50)
         assert policy.rebuild_count == 0
-        before = [idx.buckets for idx in policy.indexes]
+        before = [idx.signatures for idx in policy.indexes]
         policy.on_samples_seen(model, 100)
         assert policy.rebuild_count == 1
         # weights unchanged, same projections: identical buckets
-        assert [idx.buckets for idx in policy.indexes] == before
+        assert all(np.array_equal(idx.signatures, sig)
+                   for idx, sig in zip(policy.indexes, before))
 
     def test_inference_is_exact_forward(self):
         # evaluation takes no policy: a bound hash policy is never queried
@@ -292,8 +308,8 @@ class TestMcBackprop:
             uniforms = [0.0] + [0.0 if z else 1 - 1e-12 for z in zs] + [0.0]
             policy = McBackpropPolicy(k_samples=2)
             policy.bind(model, seed=0)
-            grads = policy.backward(model, trace, target,
-                                    rng=ForcedUniforms(uniforms))
+            policy._rng = ForcedUniforms(uniforms)
+            grads = policy.backward(model, trace, target)
             mean_dw0 += weight * grads.weights[0]
             total_weight += weight
         assert abs(total_weight - 1.0) <= 1e-12
@@ -329,8 +345,8 @@ class TestMcBackprop:
                             + [0.0 if z else 1 - 1e-12 for z in z0])
                 policy = McBackpropPolicy(k_samples=2)
                 policy.bind(model, seed=0)
-                grads = policy.backward(model, trace, targets,
-                                        rng=ForcedUniforms(uniforms))
+                policy._rng = ForcedUniforms(uniforms)
+                grads = policy.backward(model, trace, targets)
                 mean_dw1 += w1 * w0 * grads.weights[1]
                 mean_dw0 += w1 * w0 * grads.weights[0]
                 total_weight += w1 * w0
