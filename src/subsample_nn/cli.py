@@ -98,11 +98,17 @@ def load_config(path=None, sets=()) -> dict:
 
 
 def resolve_config(config: dict) -> dict:
-    """Fill defaults that depend on other settings: split sizes, batch size
-    and learning rate, and convert the numeric settings to numbers. Runs on
-    the merged config, so a setting has the same effect from a config file
+    """Convert the numeric settings to numbers, then fill the defaults that
+    depend on other settings: split sizes, batch size and learning rate. Runs
+    on the merged config, so a setting has the same effect from a config file
     and from --set."""
     config = copy.deepcopy(config)
+    for path, number in NUMERIC_SETTINGS.items():
+        *section, key = path.split(".")
+        node = config[section[0]] if section else config
+        default = (DEFAULT_CONFIG[section[0]] if section else DEFAULT_CONFIG)[key]
+        if node[key] is not None or default is not None:  # a null default is filled below
+            node[key] = _number(path, number, node[key])
     ds_cfg = config["dataset"]
     split_defaults = IDX_DEFAULT_SPLIT if ds_cfg.get("kind") == "idx" else DEFAULT_SPLIT
     for key, value in split_defaults.items():
@@ -114,15 +120,19 @@ def resolve_config(config: dict) -> dict:
     if config["optimizer"].get("learning_rate") is None:
         sgd_mc = kind == "mc" and config["batch_size"] == 1
         config["optimizer"]["learning_rate"] = 1e-4 if sgd_mc else 1e-3
-    for path, number in NUMERIC_SETTINGS.items():
-        *section, key = path.split(".")
-        node = config[section[0]] if section else config
-        try:
-            node[key] = number(node[key])
-        except (TypeError, ValueError):
-            raise ParameterError(f"{path} must be {'an integer' if number is int else 'a number'}"
-                                 f", got {node[key]!r}") from None
     return config
+
+
+def _number(path: str, number, value):
+    """value as an int or a float; an int setting takes no fractional value."""
+    try:
+        converted = number(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or (number is int and isinstance(value, float) and converted != value):
+        raise ParameterError(f"{path} must be {'an integer' if number is int else 'a number'}"
+                             f", got {value!r}")
+    return converted
 
 
 def build_dataset(cfg: dict, seed: int) -> data.Split:

@@ -7,23 +7,32 @@ a product function to backward (see policies.py). Activations are batched
 row-wise: a (b, n) array holds b samples. The output layer always applies
 log-softmax and the loss is mean negative log-likelihood, so the output-layer
 delta is (softmax(z) - onehot) / batch.
+
+The Adam step updates the moments and parameters in place, block by block,
+on the calling thread and a pool of one thread per further CPU in the
+process's affinity mask (numpy releases the GIL inside each ufunc). The pool
+is created on the first step and again in a forked child. The update is
+elementwise, so its bytes do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError
-from .linalg import FLOPS, matmul, require_finite, stream
+from .linalg import FLOPS, _product, matmul, require_finite, stream
 
 HIDDEN_ACTIVATIONS = ("relu", "linear")
 CHECKPOINT_MAGIC = b"MLPC"
 CHECKPOINT_VERSION = 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ADAM_BLOCK = 65536  # elements per block of the Adam step; fastest on two threads
 
 
 @dataclass
@@ -207,7 +216,7 @@ def backward(model: MlpModel, trace: ForwardTrace, targets, product=None) -> Gra
         if trace.masks is None or k == model.n_layers - 1:
             return matmul(a, b)
         FLOPS.add(2 * model.weights[k].shape[0] * int(trace.masks[k].sum()))
-        return a @ b
+        return _product(a, b)
 
     product = product or exact
     delta = output_delta(trace, targets)
@@ -236,8 +245,7 @@ class Optimizer:
     kind: str = "sgd"  # "sgd" or "adam"
     learning_rate: float = 1e-3
     step_count: int = 0
-    _m: list = field(default_factory=list, repr=False)
-    _v: list = field(default_factory=list, repr=False)
+    _adam: "_AdamState | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -246,12 +254,76 @@ class Optimizer:
             raise ParameterError("learning rate must be positive")
 
 
-def _ensure_adam_state(opt: Optimizer, model: MlpModel):
-    if opt._m:
-        return
-    for w, b in zip(model.weights, model.biases):
-        opt._m.append((np.zeros_like(w), np.zeros_like(b)))
-        opt._v.append((np.zeros_like(w), np.zeros_like(b)))
+@dataclass
+class _AdamState:
+    """Adam's moments and the plan of its step. groups[j] lists the blocks
+    thread j updates, each as (parameter index, lo, hi, m, v, s, r): rows
+    lo:hi of the parameter, the same rows of its moments, and two scratch
+    arrays of the block's shape. The pool runs every group but the last and
+    belongs to the process pid."""
+
+    groups: list
+    pool: ThreadPoolExecutor | None = None
+    pid: int | None = None
+
+
+def _parameters(weights, biases):
+    return [a for pair in zip(weights, biases) for a in pair]
+
+
+def _ensure_adam_state(opt: Optimizer, model: MlpModel, threads=None) -> _AdamState:
+    """Create the moments and the block plan once, so that the step allocates
+    nothing. Each parameter is cut along its first axis into blocks of about
+    ADAM_BLOCK elements, and the blocks are dealt in order to `threads` groups
+    (default: the CPUs this process may run on) of about equal element count."""
+    if opt._adam is not None:
+        return opt._adam
+    blocks = []
+    for i, p in enumerate(_parameters(model.weights, model.biases)):
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        rows = max(1, ADAM_BLOCK // (p.size // len(p)))
+        blocks += [(i, lo, lo + rows, m[lo : lo + rows], v[lo : lo + rows])
+                   for lo in range(0, len(p), rows)]
+    total = sum(block[3].size for block in blocks)
+    n = threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+    groups = [[] for _ in range(n)]
+    start = 0
+    for block in blocks:  # by the element at the block's middle
+        groups[(start + block[3].size // 2) * n // total].append(block)
+        start += block[3].size
+    plan = []
+    for group in filter(None, groups):
+        size = max(block[3].size for block in group)
+        s, r = np.empty(size), np.empty(size)
+        plan.append([(i, lo, hi, m, v, s[: m.size].reshape(m.shape), r[: m.size].reshape(m.shape))
+                     for i, lo, hi, m, v in group])
+    opt._adam = _AdamState(plan)
+    return opt._adam
+
+
+def _adam_blocks(blocks, eta, bias1, bias2):
+    """Adam on each (param, grad, m, v, s, r) block, in place, with the
+    rounding of m = m*b1 + (1-b1)*g, v = v*b2 + ((1-b2)*g)*g and
+    p -= (eta*(m/bias1)) / (sqrt(v/bias2)+eps). Every operation is
+    elementwise, so neither the blocks nor the threads change a bit.
+    Runs on worker threads: numpy only, no FLOPS."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for p, g, m, v, s, r in blocks:
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1.0 - b2, out=s)
+        np.multiply(s, g, out=s)
+        np.add(v, s, out=v)
+        np.divide(m, bias1, out=s)
+        np.multiply(s, eta, out=s)
+        np.divide(v, bias2, out=r)
+        np.sqrt(r, out=r)
+        np.add(r, ADAM_EPS, out=r)
+        np.divide(s, r, out=s)
+        np.subtract(p, s, out=p)
 
 
 def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
@@ -264,22 +336,27 @@ def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
         optimizer.step_count += 1
         return
 
-    _ensure_adam_state(optimizer, model)
+    state = _ensure_adam_state(optimizer, model)
+    params = _parameters(model.weights, model.biases)
+    gs = _parameters(grads.weights, grads.biases)
+    if [g.shape for g in gs] != [p.shape for p in params]:
+        raise DimensionError("gradient shapes do not match the parameters")
     optimizer.step_count += 1
     t = optimizer.step_count
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bias1 = 1.0 - b1**t
-    bias2 = 1.0 - b2**t
-    for k in range(model.n_layers):
-        for param, g, m, v in (
-            (model.weights[k], grads.weights[k], optimizer._m[k][0], optimizer._v[k][0]),
-            (model.biases[k], grads.biases[k], optimizer._m[k][1], optimizer._v[k][1]),
-        ):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            param -= eta * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
+    work = [[(params[i][lo:hi], gs[i][lo:hi], m, v, s, r) for i, lo, hi, m, v, s, r in group]
+            for group in state.groups]
+    if len(work) > 1 and state.pid != os.getpid():
+        # a forked child inherits the pool but not its threads
+        state.pool = ThreadPoolExecutor(len(work) - 1)
+        state.pid = os.getpid()
+    # The pool takes the first groups, whose large blocks need the GIL only
+    # between ufuncs; this thread takes the last, which holds the small ones.
+    futures = [state.pool.submit(_adam_blocks, w, eta, bias1, bias2) for w in work[:-1]]
+    _adam_blocks(work[-1], eta, bias1, bias2)
+    for future in futures:
+        future.result()
 
 
 # ---------------------------------------------------------------------------

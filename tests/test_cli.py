@@ -1,4 +1,10 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +69,30 @@ class TestTrain:
         assert code == 2
         assert "error: epochs must be an integer, got 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting,value", [
+        ("epochs", "1.5"), ("architecture.hidden_width", "32.9"), ("dataset.train_n", "100.5"),
+    ])
+    def test_fractional_integer_setting_is_usage_error(self, blob_config, tmp_path, capsys,
+                                                       setting, value):
+        code = run(["train", "--config", str(blob_config),
+                    "--out", str(tmp_path / "x"), "--set", f"{setting}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {setting} must be an integer, got {float(value)!r}" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_integral_float_setting_is_accepted(self):
+        cfg = cli.resolve_config(cli.load_config(None, ["epochs=2.0"]))
+        assert cfg["epochs"] == 2 and isinstance(cfg["epochs"], int)
+
+    @pytest.mark.parametrize("batch_size", [1, "1"])
+    def test_learning_rate_default_follows_the_batch_size_value(self, tmp_path, batch_size):
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"policy": {"kind": "mc"}, "batch_size": batch_size}))
+        cfg = cli.resolve_config(cli.load_config(path, []))
+        assert cfg["batch_size"] == 1
+        assert cfg["optimizer"]["learning_rate"] == 1e-4
+
     def test_missing_idx_paths_usage_error(self, tmp_path):
         code = run(["train", "--out", str(tmp_path / "x"),
                     "--set", "dataset.kind=idx", "--set", "epochs=0"])
@@ -108,6 +138,52 @@ class TestSweep:
         assert len(rows) == 3
         assert (out / "layers-1" / "summary.json").exists()
         assert (out / "layers-2" / "summary.json").exists()
+
+    def test_sweep_after_in_process_training_does_not_hang(self, blob_config, tmp_path):
+        # The parent holds an optimizer whose step pool has started threads
+        # when the sweep forks its workers; a forked child also steps it.
+        script = textwrap.dedent(f"""
+            import os
+            import signal
+
+            import numpy as np
+            from subsample_nn import cli, nn
+            from subsample_nn.data import split, synth_blobs
+            from subsample_nn.policies import make_policy
+            from subsample_nn.train import train
+
+            sp = split(synth_blobs(200, 8, 3, separation=8.0, seed=0), 100, 50, 50, seed=0)
+            model = nn.init_weights([8, 16, 16, 3], seed=0)
+            opt = nn.Optimizer("adam", 1e-3)
+            train(model, sp, make_policy("exact"), opt, epochs=1, batch_size=1, seed=0)
+            code = cli.main(["sweep", "--config", {str(blob_config)!r},
+                             "--out", {str(tmp_path / "sweep")!r}, "--vary", "layers=1,2"])
+            assert code == 0, code
+            grads = nn.backward(model, nn.forward(model, sp.train.features[:1]),
+                                sp.train.labels[:1])
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)  # a hung child ends itself
+                nn.step(opt, model, grads)
+                os._exit(0 if np.isfinite(model.weights[0]).all() else 1)
+            assert os.waitpid(pid, 0)[1] == 0
+            print("ok")
+        """)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), **{cli.THREADS_ENV: "2"})
+        # its own session, so that a hang ends with every forked worker killed
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("sweep after in-process training hung")
+        assert proc.returncode == 0, err
+        assert out.strip().endswith("ok")
+        assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 3
 
     def test_sweep_rows_reproducible(self, blob_config, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "1")

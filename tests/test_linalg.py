@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subsample_nn.errors import DimensionError, ParameterError
-from subsample_nn.linalg import (FLOPS, col_norms, matmul, rng_choice_weighted,
+from subsample_nn.linalg import (FLOPS, _product, col_norms, matmul, rng_choice_weighted,
                                  row_norms, stream)
 
 
@@ -54,6 +54,18 @@ class TestMatmul:
             right = matmul(a, matmul(b, c))
             bound = 1e-9 * np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
             assert np.linalg.norm(left - right) <= bound
+
+    @pytest.mark.parametrize("n,p", [(784, 128), (128, 10)])
+    def test_inner_dimension_one_has_the_gemm_bytes(self, n, p):
+        # a batch-1 weight gradient: zero activations against a negative delta
+        # give -0.0 in a bare outer product and +0.0 in the GEMM
+        rng = stream(5, "outer", n)
+        a = np.maximum(rng.standard_normal((1, n)), 0.0).T
+        b = -np.abs(rng.standard_normal((1, p)))
+        assert (a == 0.0).any()
+        product = _product(a, b)
+        assert product.shape == (n, p)
+        assert product.tobytes() == (a @ b).tobytes()
 
 
 class TestVecmat:

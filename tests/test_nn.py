@@ -3,6 +3,7 @@ import pytest
 
 from subsample_nn.errors import DimensionError, FormatError, ParameterError
 from subsample_nn.linalg import FLOPS, stream
+from subsample_nn import nn
 from subsample_nn.nn import (MlpModel, Optimizer, backward,
                              forward, init_weights, load_checkpoint, nll_loss,
                              save_checkpoint, step)
@@ -189,6 +190,43 @@ class TestOptimizers:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             Optimizer("momentum", 0.1)
+
+    @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 10000])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_adam_step_matches_reference(self, monkeypatch, block, threads):
+        # layer 0 (784x128) spans whole blocks plus a partial one
+        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+        eta, b1, b2 = 1e-3, nn.ADAM_BETA1, nn.ADAM_BETA2
+        model = init_weights([784, 128, 128, 128, 10], seed=6)
+        params = [a.copy() for pair in zip(model.weights, model.biases) for a in pair]
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+        opt = Optimizer("adam", eta)
+        state = nn._ensure_adam_state(opt, model, threads=threads)
+        assert len(state.groups) == threads
+        rng = stream(6, "adam-grads")
+        for t in range(1, 51):
+            grads = nn.Gradients([rng.standard_normal(w.shape) for w in model.weights],
+                                 [rng.standard_normal(b.shape) for b in model.biases])
+            step(opt, model, grads)
+            bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
+            for p, g, (m, v) in zip(params, [a for pair in zip(grads.weights, grads.biases)
+                                             for a in pair], moments):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= eta * (m / bias1) / (np.sqrt(v / bias2) + nn.ADAM_EPS)
+        updated = [a for pair in zip(model.weights, model.biases) for a in pair]
+        for got, want in zip(updated, params):
+            assert got.tobytes() == want.tobytes()
+        assert (state.pool is None) == (threads == 1)
+
+    def test_adam_gradient_shape_checked(self):
+        model = random_model([3, 4, 2], seed=5)
+        grads = backward(model, forward(model, np.ones(3)), 0)
+        grads.weights[0] = grads.weights[0][:1]
+        with pytest.raises(DimensionError):
+            step(Optimizer("adam", 1e-3), model, grads)
 
 
 class TestInit:
