@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, data, mc
 from .errors import ParameterError, SubsampleNNError
 from .linalg import stream
-from .nn import Optimizer, init_weights, save_checkpoint
+from .nn import Optimizer, init_weights, save_checkpoint, usable_cpus
 from .policies import make_policy
 from .train import train
 
@@ -239,10 +239,33 @@ def _run_variant(payload):
 def _max_workers(n_variants: int) -> int:
     cap = os.environ.get(THREADS_ENV)
     try:
-        limit = int(cap) if cap else (os.cpu_count() or 1)
+        limit = int(cap) if cap else len(usable_cpus())
     except ValueError:
         raise ParameterError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
     return max(1, min(n_variants, limit))
+
+
+def _take_cpu_share(counter, cpus: list, workers: int):
+    """Pool initializer: pin this worker to its own max(1, len(cpus) // workers)
+    of the parent's CPUs, so that its Adam step runs one thread per CPU it owns
+    instead of one per CPU of the whole mask."""
+    with counter.get_lock():
+        index = counter.value
+        counter.value += 1
+    share = max(1, len(cpus) // workers)
+    start = index * share % len(cpus)
+    os.sched_setaffinity(0, cpus[start : start + share])
+
+
+def _variant_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """Worker processes for a sweep, each on its share of this process's CPUs."""
+    if not hasattr(os, "sched_setaffinity"):
+        return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    import multiprocessing  # here, not at the top: it adds 0.5 MiB to every run's RSS
+
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_take_cpu_share,
+        initargs=(multiprocessing.Value("i", 0), usable_cpus(), workers))
 
 
 def cmd_sweep(args) -> int:
@@ -257,7 +280,7 @@ def cmd_sweep(args) -> int:
     if workers == 1:
         results = [_run_variant(p) for p in payloads]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with _variant_pool(workers) as pool:
             results = list(pool.map(_run_variant, payloads))
 
     out_root.mkdir(parents=True, exist_ok=True)

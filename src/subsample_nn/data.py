@@ -146,9 +146,11 @@ def synth_blobs(n_samples, n_features, n_classes, separation, seed) -> Dataset:
 # ---------------------------------------------------------------------------
 # Synthetic digits: a deterministic desk-scale stand-in for handwritten-digit
 # IDX data. Each class is a seven-segment-style glyph with per-sample jitter
-# (translation, stroke intensity, pixel noise, occlusion) so a small MLP can
+# (translation, stroke intensity, pixel noise) so a small MLP can
 # learn it well but not trivially.
 # ---------------------------------------------------------------------------
+
+_DIGITS_CHUNK = 64  # rows composed at once: about 0.4 MB per temporary
 
 # segments: top, top-left, top-right, middle, bottom-left, bottom-right, bottom
 _SEGMENTS = {
@@ -196,21 +198,38 @@ def _glyph(digit, size=28):
     return img
 
 
-def synth_digits(n_samples, seed, noise=0.12, max_shift=3, occlusion=0) -> Dataset:
-    """Deterministic 10-class 28x28 digit-like dataset in IDX-compatible layout."""
+def synth_digits(n_samples, seed, noise=0.12, max_shift=3) -> Dataset:
+    """Deterministic 10-class 28x28 digit-like dataset in IDX-compatible layout.
+
+    Each sample draws, in order, a stroke scale, a (dx, dy) shift and 784
+    normals. The draws stay per sample; the images are composed afterwards,
+    _DIGITS_CHUNK rows at a time, with the rounding of
+    clip(roll(glyph * scale) + normals * noise, 0, 1).
+    """
     if n_samples < 1:
         raise ParameterError("n_samples must be positive")
     rng = stream(seed, "digits")
-    glyphs = np.stack([_glyph(d) for d in range(10)])
+    glyphs = np.stack([_glyph(d) for d in range(10)]).ravel()
     labels = rng.integers(0, 10, size=n_samples)
     out = np.empty((n_samples, 28 * 28))
-    for i, lab in enumerate(labels):
-        img = glyphs[lab] * rng.uniform(0.6, 1.0)
-        dx, dy = rng.integers(-max_shift, max_shift + 1, size=2)
-        img = np.roll(np.roll(img, dy, axis=0), dx, axis=1)
-        if occlusion:
-            oy, ox = rng.integers(0, 28 - occlusion, size=2)
-            img[oy : oy + occlusion, ox : ox + occlusion] = 0.0
-        img = img + rng.standard_normal((28, 28)) * noise
-        out[i] = np.clip(img, 0.0, 1.0).ravel()
+    scales = np.empty(n_samples)
+    shifts = np.empty((n_samples, 2), dtype=np.int64)  # (dx, dy)
+    for i in range(n_samples):
+        scales[i] = rng.uniform(0.6, 1.0)
+        shifts[i] = rng.integers(-max_shift, max_shift + 1, size=2)
+        rng.standard_normal(out=out[i])
+    # np.roll only permutes: pixel (r, c) of the rolled glyph is pixel
+    # ((r - dy) % 28, (c - dx) % 28) of the glyph.
+    grid = np.arange(28)
+    for lo in range(0, n_samples, _DIGITS_CHUNK):
+        hi = min(lo + _DIGITS_CHUNK, n_samples)
+        dx, dy = shifts[lo:hi, 0, None, None], shifts[lo:hi, 1, None, None]
+        pixel = (labels[lo:hi, None, None] * 784 + (grid[:, None] - dy) % 28 * 28
+                 + (grid - dx) % 28)
+        img = glyphs[pixel.reshape(hi - lo, 784)]
+        img *= scales[lo:hi, None]
+        block = out[lo:hi]
+        block *= noise
+        block += img
+        np.clip(block, 0.0, 1.0, out=block)
     return Dataset(out, labels.astype(np.int64), 10)

@@ -267,6 +267,14 @@ class _AdamState:
     pid: int | None = None
 
 
+def usable_cpus() -> list[int]:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def _parameters(weights, biases):
     return [a for pair in zip(weights, biases) for a in pair]
 
@@ -285,8 +293,7 @@ def _ensure_adam_state(opt: Optimizer, model: MlpModel, threads=None) -> _AdamSt
         blocks += [(i, lo, lo + rows, m[lo : lo + rows], v[lo : lo + rows])
                    for lo in range(0, len(p), rows)]
     total = sum(block[3].size for block in blocks)
-    n = threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
+    n = threads or len(usable_cpus())
     groups = [[] for _ in range(n)]
     start = 0
     for block in blocks:  # by the element at the block's middle
@@ -329,18 +336,17 @@ def _adam_blocks(blocks, eta, bias1, bias2):
 def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
     """Apply one parameter update in place."""
     eta = optimizer.learning_rate
-    if optimizer.kind == "sgd":
-        for k in range(model.n_layers):
-            model.weights[k] -= eta * grads.weights[k]
-            model.biases[k] -= eta * grads.biases[k]
-        optimizer.step_count += 1
-        return
-
-    state = _ensure_adam_state(optimizer, model)
     params = _parameters(model.weights, model.biases)
     gs = _parameters(grads.weights, grads.biases)
     if [g.shape for g in gs] != [p.shape for p in params]:
         raise DimensionError("gradient shapes do not match the parameters")
+    if optimizer.kind == "sgd":
+        for p, g in zip(params, gs):
+            p -= eta * g
+        optimizer.step_count += 1
+        return
+
+    state = _ensure_adam_state(optimizer, model)
     optimizer.step_count += 1
     t = optimizer.step_count
     bias1 = 1.0 - ADAM_BETA1**t

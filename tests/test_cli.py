@@ -30,6 +30,19 @@ def run(argv):
     return cli.main(argv)
 
 
+def _pid_and_cpus(_):
+    return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
+def sweep_rows(path):
+    """(variant, accuracy, total_flops) of each sweep.csv row; the seconds vary."""
+    rows = []
+    for line in (path / "sweep.csv").read_text().strip().splitlines()[1:]:
+        variant, acc, _seconds, flops = line.split(",")
+        rows.append((variant, acc, flops))
+    return rows
+
+
 class TestTrain:
     def test_smoke_writes_artifacts(self, blob_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -187,20 +200,34 @@ class TestSweep:
 
     def test_sweep_rows_reproducible(self, blob_config, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "1")
-
-        def deterministic_columns(path):
-            rows = []
-            for line in (path / "sweep.csv").read_text().strip().splitlines()[1:]:
-                variant, acc, _seconds, flops = line.split(",")
-                rows.append((variant, acc, flops))
-            return rows
-
         out_a, out_b = tmp_path / "s1", tmp_path / "s2"
         run(["sweep", "--config", str(blob_config), "--out", str(out_a),
              "--vary", "batch=1,5"])
         run(["sweep", "--config", str(blob_config), "--out", str(out_b),
              "--vary", "batch=1,5"])
-        assert deterministic_columns(out_a) == deterministic_columns(out_b)
+        assert sweep_rows(out_a) == sweep_rows(out_b)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
+    def test_sweep_workers_split_the_cpus(self):
+        cpus = set(os.sched_getaffinity(0))
+        with cli._variant_pool(2) as pool:
+            masks = dict(pool.map(_pid_and_cpus, range(8)))
+        for mask in masks.values():
+            assert len(mask) == max(1, len(cpus) // 2)
+            assert mask <= cpus
+        if len(cpus) >= 2 and len(masks) == 2:
+            first, second = masks.values()
+            assert not first & second
+
+    def test_parallel_sweep_rows_match_sequential(self, blob_config, tmp_path, monkeypatch):
+        rows = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(cli.THREADS_ENV, workers)
+            out = tmp_path / f"workers-{workers}"
+            assert run(["sweep", "--config", str(blob_config), "--out", str(out),
+                        "--vary", "layers=1,2"]) == 0
+            rows.append(sweep_rows(out))
+        assert rows[0] == rows[1]
 
     def test_policy_sweep(self, blob_config, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "1")

@@ -3,9 +3,11 @@ import struct
 import numpy as np
 import pytest
 
+from subsample_nn import data
 from subsample_nn.data import (Dataset, load_idx, split, synth_blobs,
                                synth_digits, write_idx)
 from subsample_nn.errors import FormatError, ParameterError
+from subsample_nn.linalg import stream
 
 
 def write_fixture_idx(tmp_path, images, labels):
@@ -162,3 +164,35 @@ class TestSynthDigits:
     def test_all_classes_present(self):
         ds = synth_digits(500, seed=1)
         assert set(ds.labels.tolist()) == set(range(10))
+
+    @staticmethod
+    def per_sample_reference(n_samples, seed, noise=0.12, max_shift=3):
+        """The generator that composed one image per iteration, kept as it was
+        (less its occlusion option, which was never set)."""
+        rng = stream(seed, "digits")
+        glyphs = np.stack([data._glyph(d) for d in range(10)])
+        labels = rng.integers(0, 10, size=n_samples)
+        out = np.empty((n_samples, 28 * 28))
+        for i, lab in enumerate(labels):
+            img = glyphs[lab] * rng.uniform(0.6, 1.0)
+            dx, dy = rng.integers(-max_shift, max_shift + 1, size=2)
+            img = np.roll(np.roll(img, dy, axis=0), dx, axis=1)
+            img = img + rng.standard_normal((28, 28)) * noise
+            out[i] = np.clip(img, 0.0, 1.0).ravel()
+        return out, labels.astype(np.int64)
+
+    @pytest.mark.parametrize("noise", [0.12, 0.3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, data._DIGITS_CHUNK - 1, data._DIGITS_CHUNK + 1, 2500])
+    def test_bytes_match_per_sample_generator(self, n, seed, noise):
+        ds = synth_digits(n, seed=seed, noise=noise)
+        features, labels = self.per_sample_reference(n, seed, noise=noise)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+    def test_acceptance_fixture_bytes_match_per_sample_generator(self):
+        # the digit set of test_acceptance.digit_split (DATA_SEED = 101)
+        ds = synth_digits(7000, seed=101)
+        features, labels = self.per_sample_reference(7000, 101)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()

@@ -222,11 +222,13 @@ class TestOptimizers:
         assert (state.pool is None) == (threads == 1)
 
     def test_adam_gradient_shape_checked(self):
-        model = random_model([3, 4, 2], seed=5)
-        grads = backward(model, forward(model, np.ones(3)), 0)
-        grads.weights[0] = grads.weights[0][:1]
-        with pytest.raises(DimensionError):
-            step(Optimizer("adam", 1e-3), model, grads)
+        # SGD used to broadcast the (1, 4) gradient over the (3, 4) weight
+        for kind in ("sgd", "adam"):
+            model = random_model([3, 4, 2], seed=5)
+            grads = backward(model, forward(model, np.ones(3)), 0)
+            grads.weights[0] = grads.weights[0][:1]
+            with pytest.raises(DimensionError):
+                step(Optimizer(kind, 1e-3), model, grads)
 
 
 class TestInit:
