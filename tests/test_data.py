@@ -1,4 +1,5 @@
 import struct
+from itertools import product
 
 import numpy as np
 import pytest
@@ -181,18 +182,13 @@ class TestSynthDigits:
             out[i] = np.clip(img, 0.0, 1.0).ravel()
         return out, labels.astype(np.int64)
 
-    @pytest.mark.parametrize("noise", [0.12, 0.3])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("n", [1, data._DIGITS_CHUNK - 1, data._DIGITS_CHUNK + 1, 2500])
+    @pytest.mark.parametrize("n,seed,noise", [
+        *product([1, data._DIGITS_CHUNK - 1, data._DIGITS_CHUNK + 1, 2500], [0, 1, 2],
+                 [0.12, 0.3]),
+        (7000, 101, 0.12),  # the digit set of test_acceptance.digit_split
+    ])
     def test_bytes_match_per_sample_generator(self, n, seed, noise):
         ds = synth_digits(n, seed=seed, noise=noise)
         features, labels = self.per_sample_reference(n, seed, noise=noise)
-        assert ds.features.tobytes() == features.tobytes()
-        assert ds.labels.tobytes() == labels.tobytes()
-
-    def test_acceptance_fixture_bytes_match_per_sample_generator(self):
-        # the digit set of test_acceptance.digit_split (DATA_SEED = 101)
-        ds = synth_digits(7000, seed=101)
-        features, labels = self.per_sample_reference(7000, 101)
         assert ds.features.tobytes() == features.tobytes()
         assert ds.labels.tobytes() == labels.tobytes()
