@@ -321,7 +321,15 @@ def _lemma_suite(n_fixtures=100) -> bool:
 
 
 def cmd_verify_theory(args) -> int:
-    c_values = [int(c) for c in str(args.c).split(",")]
+    try:
+        c_values = [int(c) for c in str(args.c).split(",")]
+    except ValueError:
+        raise ParameterError(f"--c expects comma-separated integers, got {args.c!r}") from None
+    # every fixture is built, and so every setting checked, before any check runs
+    fixtures = []
+    for c in c_values:
+        width = 4 * (c + 1) if args.width is None else args.width
+        fixtures.append((c, width, *analysis.build_theorem1_network(c, args.depth, width)))
     failed = False
 
     lemma_ok = _lemma_suite()
@@ -329,9 +337,7 @@ def cmd_verify_theory(args) -> int:
           f"(100 random linear fixtures, tol {LEMMA_TOL})")
     failed |= not lemma_ok
 
-    for c in c_values:
-        width = args.width if args.width else 4 * (c + 1)
-        model, sets = analysis.build_theorem1_network(c, args.depth, width)
+    for c, width, model, sets in fixtures:
         rows = analysis.theorem1_check(model, sets, c)
         c_ok = True
         for row in rows:
@@ -359,6 +365,8 @@ def cmd_verify_theory(args) -> int:
 def cmd_matmul_bench(args) -> int:
     if min(args.m, args.n, args.p) < 1:
         raise ParameterError("matrix dims must be positive")
+    if args.trials < 1:
+        raise ParameterError(f"--trials must be at least 1, got {args.trials}")
     rng = stream(args.seed, "bench")
     a = rng.standard_normal((args.m, args.n))
     b = rng.standard_normal((args.n, args.p))

@@ -92,23 +92,24 @@ def require_finite(arr: np.ndarray, what: str = "result") -> np.ndarray:
     return arr
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product; counts 2*m*n*p scalar operations."""
+def matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Exact product, into out when given; counts 2*m*n*p scalar operations."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims differ ({a.shape} x {b.shape})")
     FLOPS.add(2 * a.shape[0] * a.shape[1] * b.shape[1])
-    return require_finite(_product(a, b), "matmul result")
+    return require_finite(_product(a, b, out), "matmul result")
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, uncounted. An inner dimension of 1 (a batch-1 weight gradient)
-    is an outer product, which einsum computes in about a third of the GEMM's
-    time; adding 0.0 turns its -0.0 entries into the GEMM's +0.0."""
+def _product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b, into out when given, uncounted. An inner dimension of 1 (a
+    batch-1 weight gradient) is an outer product, which einsum computes in
+    about a third of the GEMM's time; adding 0.0 turns its -0.0 entries into
+    the GEMM's +0.0."""
     if a.shape[1] != 1:
-        return a @ b
-    r = np.einsum("i,j->ij", a[:, 0], b[0])
+        return np.matmul(a, b, out=out)
+    r = np.einsum("i,j->ij", a[:, 0], b[0], out=out)
     r += 0.0
     return r
 

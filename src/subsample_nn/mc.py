@@ -100,12 +100,18 @@ def optimal_probs_bernoulli(a, b, k) -> np.ndarray:
     free = w > 0
     budget = float(min(k, int(free.sum())))
     while budget > 0 and free.any():
-        trial = w * 0.0
-        trial[free] = budget * w[free] / w[free].sum()
-        clipped = free & (trial >= 1.0)
-        if not clipped.any():
-            probs[free] = trial[free]
-            break
+        if free.all():  # w[free] is w: same values, same summation order
+            trial = budget * w / w.sum()
+            clipped = trial >= 1.0
+            if not clipped.any():
+                return trial
+        else:
+            trial = w * 0.0
+            trial[free] = budget * w[free] / w[free].sum()
+            clipped = free & (trial >= 1.0)
+            if not clipped.any():
+                probs[free] = trial[free]
+                break
         probs[clipped] = 1.0
         budget -= int(clipped.sum())
         free &= ~clipped
@@ -123,8 +129,9 @@ def bernoulli_error(a, b, probs) -> float:
     return float(((1.0 - probs[mask]) / probs[mask] * w2[mask]).sum())
 
 
-def approx_matmul_bernoulli(a, b, k, rng, probs=None):
-    """Unbiased Bernoulli-sampled estimate of A @ B; returns (estimate, plan)."""
+def approx_matmul_bernoulli(a, b, k, rng, probs=None, out=None):
+    """Unbiased Bernoulli-sampled estimate of A @ B, written into out when
+    given; returns (estimate, plan)."""
     a, b = _check_pair(a, b)
     if probs is None:
         probs = optimal_probs_bernoulli(a, b, k)
@@ -133,9 +140,11 @@ def approx_matmul_bernoulli(a, b, k, rng, probs=None):
     kept = np.flatnonzero(draws < probs)
     scales = 1.0 / probs[kept]
     FLOPS.add(2 * a.shape[0] * kept.size * b.shape[1])
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
     if kept.size:
-        estimate = (a[:, kept] * scales) @ b[kept, :]
+        np.matmul(a[:, kept] * scales, b[kept, :], out=out)
     else:
-        estimate = np.zeros((a.shape[0], b.shape[1]))
+        out[...] = 0.0
     plan = SamplePlan("bernoulli", probs, kept, scales, k)
-    return estimate, plan
+    return out, plan

@@ -8,11 +8,16 @@ row-wise: a (b, n) array holds b samples. The output layer always applies
 log-softmax and the loss is mean negative log-likelihood, so the output-layer
 delta is (softmax(z) - onehot) / batch.
 
-The Adam step updates the moments and parameters in place, block by block,
-on the calling thread and a pool of one thread per further CPU in the
-process's affinity mask (numpy releases the GIL inside each ufunc). The pool
-is created on the first step and again in a forked child. The update is
-elementwise, so its bytes do not depend on the number of threads.
+A model keeps all its weights and biases in one contiguous float64 buffer,
+`flat`, in layer order (w0, b0, w1, b1, ...); weights[k] and biases[k] are
+views of it. Gradients use the same layout, and backward writes each weight
+and bias gradient straight into its view. The optimizer step runs on the
+whole buffer at once: the Adam step updates the moments and parameters in
+place, one equal contiguous slice per CPU of the process's affinity mask, on
+the calling thread and a pool of one thread per further CPU (numpy releases
+the GIL inside each ufunc). The pool is created on the first step and again
+in a forked child. The update is elementwise, so its bytes do not depend on
+the number of threads.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,11 +37,53 @@ HIDDEN_ACTIVATIONS = ("relu", "linear")
 CHECKPOINT_MAGIC = b"MLPC"
 CHECKPOINT_VERSION = 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-ADAM_BLOCK = 65536  # elements per block of the Adam step; fastest on two threads
+
+
+def _parameters(weights, biases):
+    return [a for pair in zip(weights, biases) for a in pair]
+
+
+class _FlatParameters:
+    """weights[k] and biases[k] as views of one float64 buffer, `flat`, in
+    layer order (w0, b0, w1, b1, ...). Construction copies the given arrays
+    into a new buffer. The lists stay plain lists, so an entry can still be
+    rebound to another array, which step would then not see; step refuses
+    such a container instead of skipping the entry."""
+
+    def _lay_out(self, fill=True):
+        arrays = _parameters(self.weights, self.biases)
+        self._flat = np.empty(sum(a.size for a in arrays))
+        views, at = [], 0
+        for a in arrays:
+            view = self._flat[at : at + a.size].reshape(a.shape)
+            if fill:
+                view[...] = a
+            views.append(view)
+            at += a.size
+        self.weights, self.biases = views[0::2], views[1::2]
+        self._views = views
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self._flat
+
+    def _checked_flat(self, what) -> np.ndarray:
+        """flat, after checking that every list entry is still its view."""
+        entries = _parameters(self.weights, self.biases)
+        if len(entries) != len(self._views) or any(e is not v for e, v in
+                                                   zip(entries, self._views)):
+            raise ParameterError(f"{what}: a weights or biases entry was rebound; "
+                                 "entries are views of one buffer, so write into them")
+        return self._flat
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, so the copy's
+        # entries are views of the copy's own buffer
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass
-class MlpModel:
+class MlpModel(_FlatParameters):
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -55,6 +102,7 @@ class MlpModel:
                                      f"({self.layer_dims[k]}, {self.layer_dims[k + 1]})")
             if b.shape != (self.layer_dims[k + 1],):
                 raise DimensionError(f"biases[{k}] has shape {b.shape}")
+        self._lay_out()
 
     @property
     def n_layers(self):
@@ -69,8 +117,8 @@ class MlpModel:
         return self.layer_dims[-1]
 
     def copy(self) -> "MlpModel":
-        return MlpModel(list(self.layer_dims), [w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases], self.hidden_activation)
+        return MlpModel(list(self.layer_dims), self.weights, self.biases,
+                        self.hidden_activation)
 
 
 @dataclass
@@ -97,9 +145,21 @@ class ForwardTrace:
 
 
 @dataclass
-class Gradients:
+class Gradients(_FlatParameters):
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    def __post_init__(self):
+        self._lay_out()
+
+    @classmethod
+    def _empty_like(cls, model: MlpModel) -> "Gradients":
+        """Uninitialised gradients laid out like model's parameters, without
+        the copy the constructor makes."""
+        grads = object.__new__(cls)
+        grads.weights, grads.biases = model.weights, model.biases
+        grads._lay_out(fill=False)
+        return grads
 
 
 def init_weights(layer_dims, seed=0) -> MlpModel:
@@ -205,34 +265,35 @@ def output_delta(trace: ForwardTrace, targets) -> np.ndarray:
 def backward(model: MlpModel, trace: ForwardTrace, targets, product=None) -> Gradients:
     """Gradients of mean NLL w.r.t. every weight matrix and bias.
 
-    product(k, a, b) computes each of layer k's two backprop products, the
-    weight gradient activations[k].T @ delta and the propagated delta @
-    weights[k].T. The default is the exact product, charged in full, except
-    for a hidden layer the trace masked: both of its products touch fan_in
-    terms per kept node, and only those are charged. Nodes the trace masked
-    out pass no delta back, and kept ones carry the trace's scale.
+    product(k, a, b, out) computes each of layer k's two backprop products,
+    the weight gradient activations[k].T @ delta, written into out (its view
+    of the gradients' buffer), and the propagated delta @ weights[k].T, with
+    out None, into a new array; it returns the product. The default is the
+    exact product, charged in full, except for a hidden layer the trace
+    masked: both of its products touch fan_in terms per kept node, and only
+    those are charged. Nodes the trace masked out pass no delta back, and
+    kept ones carry the trace's scale.
     """
-    def exact(k, a, b):
+    def exact(k, a, b, out):
         if trace.masks is None or k == model.n_layers - 1:
-            return matmul(a, b)
+            return matmul(a, b, out)
         FLOPS.add(2 * model.weights[k].shape[0] * int(trace.masks[k].sum()))
-        return _product(a, b)
+        return _product(a, b, out)
 
     product = product or exact
     delta = output_delta(trace, targets)
-    grads_w = [None] * model.n_layers
-    grads_b = [None] * model.n_layers
+    grads = Gradients._empty_like(model)
     for k in range(model.n_layers - 1, -1, -1):
-        grads_w[k] = product(k, trace.activations[k].T, delta)
-        grads_b[k] = delta.sum(axis=0)
+        product(k, trace.activations[k].T, delta, grads.weights[k])
+        delta.sum(axis=0, out=grads.biases[k])
         if k > 0:
-            upstream = product(k, delta, model.weights[k].T)
+            upstream = product(k, delta, model.weights[k].T, None)
             delta = upstream * hidden_derivative(trace.pre_activations[k - 1],
                                                  model.hidden_activation)
             if trace.masks is not None:
                 delta = delta * trace.scales[k - 1]
                 delta[~trace.masks[k - 1]] = 0.0
-    return Gradients(grads_w, grads_b)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +317,13 @@ class Optimizer:
 
 @dataclass
 class _AdamState:
-    """Adam's moments and the plan of its step. groups[j] lists the blocks
-    thread j updates, each as (parameter index, lo, hi, m, v, s, r): rows
-    lo:hi of the parameter, the same rows of its moments, and two scratch
-    arrays of the block's shape. The pool runs every group but the last and
-    belongs to the process pid."""
+    """Adam's moments m and v and two scratch arrays s and r, each laid out
+    like the parameters' flat buffer and cut into one contiguous slice per
+    thread: slices[j] is (lo, hi, m, v, s, r) for elements lo:hi. The pool
+    runs every slice but the last and belongs to the process pid."""
 
-    groups: list
+    size: int
+    slices: list
     pool: ThreadPoolExecutor | None = None
     pid: int | None = None
 
@@ -275,92 +336,69 @@ def usable_cpus() -> list[int]:
     return list(range(os.cpu_count() or 1))
 
 
-def _parameters(weights, biases):
-    return [a for pair in zip(weights, biases) for a in pair]
-
-
-def _ensure_adam_state(opt: Optimizer, model: MlpModel, threads=None) -> _AdamState:
-    """Create the moments and the block plan once, so that the step allocates
-    nothing. Each parameter is cut along its first axis into blocks of about
-    ADAM_BLOCK elements, and the blocks are dealt in order to `threads` groups
-    (default: the CPUs this process may run on) of about equal element count."""
-    if opt._adam is not None:
-        return opt._adam
-    blocks = []
-    for i, p in enumerate(_parameters(model.weights, model.biases)):
-        m, v = np.zeros_like(p), np.zeros_like(p)
-        rows = max(1, ADAM_BLOCK // (p.size // len(p)))
-        blocks += [(i, lo, lo + rows, m[lo : lo + rows], v[lo : lo + rows])
-                   for lo in range(0, len(p), rows)]
-    total = sum(block[3].size for block in blocks)
-    n = threads or len(usable_cpus())
-    groups = [[] for _ in range(n)]
-    start = 0
-    for block in blocks:  # by the element at the block's middle
-        groups[(start + block[3].size // 2) * n // total].append(block)
-        start += block[3].size
-    plan = []
-    for group in filter(None, groups):
-        size = max(block[3].size for block in group)
-        s, r = np.empty(size), np.empty(size)
-        plan.append([(i, lo, hi, m, v, s[: m.size].reshape(m.shape), r[: m.size].reshape(m.shape))
-                     for i, lo, hi, m, v in group])
-    opt._adam = _AdamState(plan)
+def _ensure_adam_state(opt: Optimizer, size: int, threads=None) -> _AdamState:
+    """Create the moments and the slices once, so that the step allocates
+    nothing: one equal slice per thread (default: per CPU this process may
+    run on). More slices per thread only add GIL handoffs."""
+    if opt._adam is None:
+        n = min(threads or len(usable_cpus()), size)
+        m, v, s, r = np.zeros(size), np.zeros(size), np.empty(size), np.empty(size)
+        bounds = [j * size // n for j in range(n + 1)]
+        opt._adam = _AdamState(size, [(lo, hi, m[lo:hi], v[lo:hi], s[lo:hi], r[lo:hi])
+                                      for lo, hi in zip(bounds, bounds[1:])])
+    if opt._adam.size != size:
+        raise ParameterError(f"optimizer state holds {opt._adam.size} parameters, "
+                             f"the model {size}")
     return opt._adam
 
 
-def _adam_blocks(blocks, eta, bias1, bias2):
-    """Adam on each (param, grad, m, v, s, r) block, in place, with the
-    rounding of m = m*b1 + (1-b1)*g, v = v*b2 + ((1-b2)*g)*g and
-    p -= (eta*(m/bias1)) / (sqrt(v/bias2)+eps). Every operation is
-    elementwise, so neither the blocks nor the threads change a bit.
-    Runs on worker threads: numpy only, no FLOPS."""
+def _adam_slice(p, g, m, v, s, r, eta, bias1, bias2):
+    """Adam on one slice, in place, with the rounding of m = m*b1 + (1-b1)*g,
+    v = v*b2 + ((1-b2)*g)*g and p -= (eta*(m/bias1)) / (sqrt(v/bias2)+eps).
+    Every operation is elementwise, so neither the slices nor the threads
+    change a bit. Runs on worker threads: numpy only, no FLOPS."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for p, g, m, v, s, r in blocks:
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1.0 - b1, out=s)
-        np.add(m, s, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(g, 1.0 - b2, out=s)
-        np.multiply(s, g, out=s)
-        np.add(v, s, out=v)
-        np.divide(m, bias1, out=s)
-        np.multiply(s, eta, out=s)
-        np.divide(v, bias2, out=r)
-        np.sqrt(r, out=r)
-        np.add(r, ADAM_EPS, out=r)
-        np.divide(s, r, out=s)
-        np.subtract(p, s, out=p)
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1.0 - b1, out=s)
+    np.add(m, s, out=m)
+    np.multiply(v, b2, out=v)
+    np.multiply(g, 1.0 - b2, out=s)
+    np.multiply(s, g, out=s)
+    np.add(v, s, out=v)
+    np.divide(m, bias1, out=s)
+    np.multiply(s, eta, out=s)
+    np.divide(v, bias2, out=r)
+    np.sqrt(r, out=r)
+    np.add(r, ADAM_EPS, out=r)
+    np.divide(s, r, out=s)
+    np.subtract(p, s, out=p)
 
 
 def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
-    """Apply one parameter update in place."""
+    """Apply one parameter update in place, on the flat buffers."""
     eta = optimizer.learning_rate
-    params = _parameters(model.weights, model.biases)
-    gs = _parameters(grads.weights, grads.biases)
-    if [g.shape for g in gs] != [p.shape for p in params]:
+    if ([g.shape for g in _parameters(grads.weights, grads.biases)]
+            != [p.shape for p in _parameters(model.weights, model.biases)]):
         raise DimensionError("gradient shapes do not match the parameters")
+    p = model._checked_flat("model")
+    g = grads._checked_flat("gradients")
     if optimizer.kind == "sgd":
-        for p, g in zip(params, gs):
-            p -= eta * g
+        p -= eta * g
         optimizer.step_count += 1
         return
 
-    state = _ensure_adam_state(optimizer, model)
+    state = _ensure_adam_state(optimizer, p.size)
     optimizer.step_count += 1
     t = optimizer.step_count
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    work = [[(params[i][lo:hi], gs[i][lo:hi], m, v, s, r) for i, lo, hi, m, v, s, r in group]
-            for group in state.groups]
+    work = [(p[lo:hi], g[lo:hi], *moments) for lo, hi, *moments in state.slices]
     if len(work) > 1 and state.pid != os.getpid():
         # a forked child inherits the pool but not its threads
         state.pool = ThreadPoolExecutor(len(work) - 1)
         state.pid = os.getpid()
-    # The pool takes the first groups, whose large blocks need the GIL only
-    # between ufuncs; this thread takes the last, which holds the small ones.
-    futures = [state.pool.submit(_adam_blocks, w, eta, bias1, bias2) for w in work[:-1]]
-    _adam_blocks(work[-1], eta, bias1, bias2)
+    futures = [state.pool.submit(_adam_slice, *w, eta, bias1, bias2) for w in work[:-1]]
+    _adam_slice(*work[-1], eta, bias1, bias2)
     for future in futures:
         future.result()
 
@@ -399,11 +437,11 @@ def load_checkpoint(path) -> MlpModel:
             w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8")
             if w.size != fan_in * fan_out:
                 raise FormatError(f"{path}: truncated weight block")
-            weights.append(w.reshape(fan_in, fan_out).copy())
+            weights.append(w.reshape(fan_in, fan_out))
             b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
             if b.size != fan_out:
                 raise FormatError(f"{path}: truncated bias block")
-            biases.append(b.copy())
+            biases.append(b)
     # the activation lives only in the sidecar; a guessed one mispredicts
     sidecar = str(path) + ".json"
     try:

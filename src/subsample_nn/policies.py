@@ -23,7 +23,7 @@ from . import alsh as alsh_mod
 from . import mc as mc_mod
 from . import nn
 from .errors import ParameterError
-from .linalg import FLOPS, stream
+from .linalg import FLOPS, as_matrix, stream
 
 
 def _stable_sigmoid(x):
@@ -249,12 +249,14 @@ class McBackpropPolicy(ComputePolicy):
                     f"k_samples={self.k_samples} exceeds hidden width {width}")
         super().bind(model, seed)
 
-    def _sampled_product(self, k, a, b):
+    def _sampled_product(self, k, a, b, out):
+        a, b = as_matrix(a), as_matrix(b)  # once: both calls below take them as they are
         shared = a.shape[1]
         k_eff = min(self.k_samples, shared)
         with FLOPS.phase("policy_overhead"):
             probs = mc_mod.optimal_probs_bernoulli(a, b, k_eff)
-        estimate, plan = mc_mod.approx_matmul_bernoulli(a, b, k_eff, self._rng, probs=probs)
+        estimate, plan = mc_mod.approx_matmul_bernoulli(a, b, k_eff, self._rng, probs=probs,
+                                                        out=out)
         self.sampled_product_flops += 2 * a.shape[0] * plan.indices.size * b.shape[1]
         self.replaced_exact_flops += 2 * a.shape[0] * shared * b.shape[1]
         return estimate

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subsample_nn import policies
+from subsample_nn import mc, nn, policies
 from subsample_nn.alsh import AlshParams, build_index, query_active
 from subsample_nn.linalg import stream
 from subsample_nn.mc import approx_matmul_bernoulli
@@ -59,3 +59,24 @@ def test_bernoulli_plan_reports_kept_indices():
     assert estimate.shape == (4, 3)
     assert plan.indices.ndim == 1 and plan.indices.size <= 12
 
+
+
+def test_mc_backward_calls_both_sampling_functions_per_product(monkeypatch):
+    # the traced run's mc.* spans and mc.kept_fraction wrap these two names;
+    # a sampled product that inlined them would leave both empty
+    calls = {"optimal_probs_bernoulli": 0, "approx_matmul_bernoulli": 0}
+    for name in calls:
+        original = getattr(mc, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, name, counted)
+    layers = 3
+    model = nn.init_weights([6, 5, 4, 3], seed=4)
+    policy = policies.make_policy("mc", k_samples=2)
+    policy.bind(model, seed=5)
+    x = stream(6, "contract-mc-x").standard_normal((4, 6))
+    policy.backward(model, policy.forward(model, x), [0, 1, 2, 0])
+    assert calls == dict.fromkeys(calls, 2 * layers - 1)

@@ -277,6 +277,18 @@ class TestVerifyTheory:
     def test_invalid_width_usage_error(self):
         assert run(["verify-theory", "--width", "7"]) == 2
 
+    def test_non_integer_c_is_usage_error(self, capsys):
+        assert run(["verify-theory", "--c", "abc"]) == 2
+        assert "error: --c" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--c", "0"], ["--c", "5,0"], ["--depth", "0"],
+                                      ["--width", "0"], ["--width", "7"]])
+    def test_bad_setting_fails_before_any_check(self, capsys, argv):
+        assert run(["verify-theory", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_failure_exit_code(self, monkeypatch):
         real = analysis.theorem1_check
 
@@ -319,3 +331,10 @@ class TestMatmulBench:
 
     def test_bad_dims_usage_error(self):
         assert run(["matmul-bench", "--m", "0"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_fewer_than_one_trial_is_usage_error(self, capsys, trials):
+        assert run(["matmul-bench", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --trials" in captured.err

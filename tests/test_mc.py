@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subsample_nn.errors import DegenerateInputError, ParameterError
-from subsample_nn.linalg import FLOPS, stream
+from subsample_nn.linalg import FLOPS, col_norms, row_norms, stream
 from subsample_nn.mc import (approx_matmul_bernoulli, approx_matmul_cr,
                              bernoulli_error, optimal_probs_bernoulli,
                              optimal_probs_cr)
@@ -185,7 +185,56 @@ def test_reusing_one_plan_for_both_directions_is_biased():
     assert np.abs(mean_grad - exact_grad).max() > 1e-3
 
 
+def waterfill_reference(a, b, k):
+    """Waterfilled keep probabilities, every pass on the free entries w[free]."""
+    w = col_norms(a) * row_norms(b)
+    probs = np.zeros(w.size)
+    free = w > 0
+    budget = float(min(k, int(free.sum())))
+    while budget > 0 and free.any():
+        trial = w * 0.0
+        trial[free] = budget * w[free] / w[free].sum()
+        clipped = free & (trial >= 1.0)
+        if not clipped.any():
+            probs[free] = trial[free]
+            break
+        probs[clipped] = 1.0
+        budget -= int(clipped.sum())
+        free &= ~clipped
+    return probs
+
+
+def bernoulli_reference(a, b, kept, scales):
+    if kept.size:
+        return (a[:, kept] * scales) @ b[kept, :]
+    return np.zeros((a.shape[0], b.shape[1]))
+
+
+def waterfill_cases():
+    """(a, b, k): every weight positive, with and without clipping; zero-norm
+    columns; a zero-norm column whose budget exceeds the positive weights; k = n."""
+    rng = stream(17, "waterfill")
+    cases = []
+    for n, k in ((128, 10), (20, 10), (20, 20), (7, 7), (1, 1), (128, 128)):
+        a, b = rng.standard_normal((20, n)), rng.standard_normal((n, 128))
+        cases.append((a, b, k))
+        skewed = a.copy()
+        skewed[:, 0] *= 50.0  # one weight takes most of the mass and clips
+        cases.append((skewed, b, k))
+        if n > 2:
+            dead = a.copy()
+            dead[:, ::3] = 0.0  # a ReLU delta's dead nodes
+            cases.append((dead, b, k))
+    cases.append((np.array([[1.0, 0.0, 2.0]]), np.ones((3, 2)), 3))  # budget > positives
+    return cases
+
+
 class TestOptimalProbsBernoulli:
+    @pytest.mark.parametrize("case", range(len(waterfill_cases())))
+    def test_bytes_match_the_reference_loop(self, case):
+        a, b, k = waterfill_cases()[case]
+        assert optimal_probs_bernoulli(a, b, k).tobytes() == waterfill_reference(a, b, k).tobytes()
+
     def test_full_budget_all_ones(self):
         rng = stream(6, "bern-full")
         a = rng.standard_normal((4, 5))
@@ -234,6 +283,26 @@ class TestOptimalProbsBernoulli:
 
 
 class TestApproxBernoulli:
+    @pytest.mark.parametrize("case", range(len(waterfill_cases())))
+    def test_out_matches_the_returned_product(self, case):
+        # into an 8-byte-offset view of a larger buffer, as a gradient view is
+        a, b, k = waterfill_cases()[case]
+        buffer = np.full(a.shape[0] * b.shape[1] + 1, np.nan)
+        out = buffer[1:].reshape(a.shape[0], b.shape[1])
+        estimate, plan = approx_matmul_bernoulli(a, b, k, stream(18, "out", case), out=out)
+        assert estimate is out
+        want = bernoulli_reference(a, b, plan.indices, plan.scales)
+        assert out.tobytes() == want.tobytes()
+        fresh, _ = approx_matmul_bernoulli(a, b, k, stream(18, "out", case))
+        assert fresh.tobytes() == want.tobytes()
+
+    def test_nothing_kept_writes_zeros_into_out(self):
+        a, b = np.ones((2, 3)), np.ones((3, 4))
+        out = np.full((2, 4), np.nan)
+        estimate, plan = approx_matmul_bernoulli(a, b, 1, ForcedUniforms([1.0] * 3), out=out)
+        assert plan.indices.size == 0
+        assert estimate is out and out.tobytes() == np.zeros((2, 4)).tobytes()
+
     def test_full_budget_exact(self):
         rng = stream(8, "bern-exact")
         a = rng.standard_normal((4, 6))

@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -191,20 +196,18 @@ class TestOptimizers:
         with pytest.raises(ParameterError):
             Optimizer("momentum", 0.1)
 
-    @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 10000])
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_adam_step_matches_reference(self, monkeypatch, block, threads):
-        # layer 0 (784x128) spans whole blocks plus a partial one
-        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+    @staticmethod
+    def _adam_against_reference(threads, steps=50):
+        """Run `steps` threaded Adam steps and the reference expression side by
+        side; return (updated, reference) parameter lists and the state."""
         eta, b1, b2 = 1e-3, nn.ADAM_BETA1, nn.ADAM_BETA2
         model = init_weights([784, 128, 128, 128, 10], seed=6)
         params = [a.copy() for pair in zip(model.weights, model.biases) for a in pair]
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
         opt = Optimizer("adam", eta)
-        state = nn._ensure_adam_state(opt, model, threads=threads)
-        assert len(state.groups) == threads
+        state = nn._ensure_adam_state(opt, model.flat.size, threads=threads)
         rng = stream(6, "adam-grads")
-        for t in range(1, 51):
+        for t in range(1, steps + 1):
             grads = nn.Gradients([rng.standard_normal(w.shape) for w in model.weights],
                                  [rng.standard_normal(b.shape) for b in model.biases])
             step(opt, model, grads)
@@ -217,18 +220,61 @@ class TestOptimizers:
                 v += (1.0 - b2) * g * g
                 p -= eta * (m / bias1) / (np.sqrt(v / bias2) + nn.ADAM_EPS)
         updated = [a for pair in zip(model.weights, model.biases) for a in pair]
-        for got, want in zip(updated, params):
+        return updated, params, state
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_adam_step_matches_reference(self, threads):
+        updated, reference, state = self._adam_against_reference(threads)
+        for got, want in zip(updated, reference):
             assert got.tobytes() == want.tobytes()
+        assert len(state.slices) == threads
         assert (state.pool is None) == (threads == 1)
 
-    def test_adam_gradient_shape_checked(self):
-        # SGD used to broadcast the (1, 4) gradient over the (3, 4) weight
-        for kind in ("sgd", "adam"):
-            model = random_model([3, 4, 2], seed=5)
-            grads = backward(model, forward(model, np.ones(3)), 0)
-            grads.weights[0] = grads.weights[0][:1]
-            with pytest.raises(DimensionError):
-                step(Optimizer(kind, 1e-3), model, grads)
+    def test_adam_threads_beyond_cpus_under_frequent_switches(self):
+        # more threads than CPUs, with the interpreter switching threads as
+        # often as it can: the slices are disjoint, so the bytes cannot change
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            updated, reference, state = self._adam_against_reference(4)
+            assert time.perf_counter() - start < 60
+            assert len(state.slices) == 4
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(updated, reference):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("rebind", ["model-weight", "model-bias", "grad-weight",
+                                        "grad-bias"])
+    def test_rebound_entry_is_refused(self, kind, rebind):
+        # entries are views of one buffer that step updates as a whole; a
+        # rebound entry of the right shape would be skipped without a word
+        model = random_model([3, 4, 2], seed=5)
+        grads = backward(model, forward(model, np.ones(3)), 0)
+        owner = model if rebind.startswith("model") else grads
+        entries = owner.weights if rebind.endswith("weight") else owner.biases
+        entries[1] = entries[1].copy()
+        with pytest.raises(ParameterError, match="rebound"):
+            step(Optimizer(kind, 1e-3), model, grads)
+
+    def test_copies_own_their_buffer(self):
+        model = random_model([3, 4, 2], seed=5)
+        grads = backward(model, forward(model, np.ones(3)), 0)
+        for clone in (model.copy(), copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            step(Optimizer("sgd", 1.0), clone, copy.deepcopy(grads))
+            for w, before, g in zip(clone.weights, model.weights, grads.weights):
+                np.testing.assert_array_equal(w, before - g)
+                assert np.shares_memory(w, clone.flat)
+                assert not np.shares_memory(w, model.flat)
+
+    def test_adam_state_belongs_to_one_model_size(self):
+        opt = Optimizer("adam", 1e-3)
+        small, large = random_model([3, 4, 2], seed=5), random_model([3, 5, 2], seed=5)
+        step(opt, small, backward(small, forward(small, np.ones(3)), 0))
+        with pytest.raises(ParameterError, match="parameters"):
+            step(opt, large, backward(large, forward(large, np.ones(3)), 0))
 
 
 class TestInit:
