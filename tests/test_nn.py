@@ -276,6 +276,15 @@ class TestOptimizers:
         with pytest.raises(ParameterError, match="parameters"):
             step(opt, large, backward(large, forward(large, np.ones(3)), 0))
 
+    def test_adam_gradient_shape_checked(self):
+        # SGD used to broadcast the (1, 4) gradient over the (3, 4) weight
+        for kind in ("sgd", "adam"):
+            model = random_model([3, 4, 2], seed=5)
+            grads = backward(model, forward(model, np.ones(3)), 0)
+            grads.weights[0] = grads.weights[0][:1]
+            with pytest.raises(DimensionError):
+                step(Optimizer(kind, 1e-3), model, grads)
+
 
 class TestInit:
     def test_seed_reproducibility(self):
