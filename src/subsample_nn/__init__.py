@@ -16,7 +16,7 @@ from .mc import (SamplePlan, approx_matmul_bernoulli, approx_matmul_cr,
 from .nn import (ForwardTrace, Gradients, MlpModel, Optimizer, backward, forward,
                  init_weights, load_checkpoint, nll_loss, save_checkpoint, step)
 from .policies import (AdaptiveDropoutPolicy, AlshPolicy, ComputePolicy,
-                       DropoutPolicy, McBackpropPolicy, adaptive_keep_probs,
+                       DropoutPolicy, McBackpropPolicy, RunCounts, adaptive_keep_probs,
                        make_policy)
 from .train import evaluate_accuracy, train
 

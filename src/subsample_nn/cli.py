@@ -53,11 +53,17 @@ DEFAULT_CONFIG = {
 DEFAULT_SPLIT = {"train_n": 5000, "test_n": 1000, "val_n": 1000}
 IDX_DEFAULT_SPLIT = {"train_n": 55000, "test_n": 10000, "val_n": 5000}
 
-# settings read as numbers, by their --set path
+# settings read as numbers, by their --set path; a policy parameter is read
+# only when it is set, since its default lives in the policy's constructor
 NUMERIC_SETTINGS = {"seed": int, "epochs": int, "batch_size": int,
                     "optimizer.learning_rate": float, "architecture.hidden_layers": int,
                     "architecture.hidden_width": int, "dataset.train_n": int,
-                    "dataset.test_n": int, "dataset.val_n": int}
+                    "dataset.test_n": int, "dataset.val_n": int, "dataset.noise": float,
+                    "dataset.n_features": int, "dataset.n_classes": int,
+                    "dataset.separation": float, "policy.p_keep": float,
+                    "policy.alpha": float, "policy.beta": float, "policy.C": float,
+                    "policy.K": int, "policy.L": int, "policy.m": int,
+                    "policy.k_samples": int}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -106,9 +112,10 @@ def resolve_config(config: dict) -> dict:
     for path, number in NUMERIC_SETTINGS.items():
         *section, key = path.split(".")
         node = config[section[0]] if section else config
-        default = (DEFAULT_CONFIG[section[0]] if section else DEFAULT_CONFIG)[key]
-        if node[key] is not None or default is not None:  # a null default is filled below
-            node[key] = _number(path, number, node[key])
+        defaults = DEFAULT_CONFIG[section[0]] if section else DEFAULT_CONFIG
+        if key not in node or node[key] is None and key in defaults and defaults[key] is None:
+            continue  # unset, or null where a default is filled below
+        node[key] = _number(path, number, node[key])
     ds_cfg = config["dataset"]
     split_defaults = IDX_DEFAULT_SPLIT if ds_cfg.get("kind") == "idx" else DEFAULT_SPLIT
     for key, value in split_defaults.items():

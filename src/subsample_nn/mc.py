@@ -9,7 +9,8 @@ Two unbiased estimators of A @ B over the shared dimension n:
   waterfilling so the budget is spent exactly.
 
 A sampled product adds 2 * m * (#sampled) * p to the FLOP counter; probability
-construction costs are counted by the norm helpers it calls.
+construction costs are counted by the norm helpers it calls. Both return the
+estimate and a SamplePlan holding the indices the product used.
 """
 
 from __future__ import annotations
@@ -24,13 +25,9 @@ from .linalg import FLOPS, as_matrix, col_norms, rng_choice_weighted, row_norms
 
 @dataclass
 class SamplePlan:
-    """Record of one sampling decision; callers can reuse the chosen indices."""
+    """The shared-dimension indices one sampled product used."""
 
-    mode: str  # "with_replacement" or "bernoulli"
-    probabilities: np.ndarray
     indices: np.ndarray
-    scales: np.ndarray
-    budget: int
 
 
 def _check_pair(a, b):
@@ -79,9 +76,7 @@ def approx_matmul_cr(a, b, c_samples, rng, probs=None, indices=None):
     left = a[:, indices] * factor
     right = b[indices, :] * factor[:, None]
     FLOPS.add(2 * a.shape[0] * c_samples * b.shape[1])
-    plan = SamplePlan("with_replacement", probs, indices,
-                      1.0 / (c_samples * probs[indices]), c_samples)
-    return left @ right, plan
+    return left @ right, SamplePlan(indices)
 
 
 def optimal_probs_bernoulli(a, b, k) -> np.ndarray:
@@ -146,5 +141,4 @@ def approx_matmul_bernoulli(a, b, k, rng, probs=None, out=None):
         np.matmul(a[:, kept] * scales, b[kept, :], out=out)
     else:
         out[...] = 0.0
-    plan = SamplePlan("bernoulli", probs, kept, scales, k)
-    return out, plan
+    return out, SamplePlan(kept)

@@ -423,25 +423,30 @@ def save_checkpoint(model: MlpModel, path, metadata: dict | None = None):
         f.write("\n")
 
 
+def _read_block(f, path, dtype, count, what) -> np.ndarray:
+    """The next count little-endian values of dtype; FormatError if the file
+    ends first."""
+    size = np.dtype(dtype).itemsize * count
+    raw = f.read(size)
+    if len(raw) != size:
+        raise FormatError(f"{path}: truncated {what}")
+    return np.frombuffer(raw, dtype=dtype)
+
+
 def load_checkpoint(path) -> MlpModel:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic {magic!r} at byte 0")
-        version, n_dims = struct.unpack("<II", f.read(8))
+        version, n_dims = _read_block(f, path, "<u4", 2, "header").tolist()
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        dims = list(struct.unpack(f"<{n_dims}I", f.read(4 * n_dims)))
+        dims = _read_block(f, path, "<u4", n_dims, "layer dims").tolist()
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8")
-            if w.size != fan_in * fan_out:
-                raise FormatError(f"{path}: truncated weight block")
-            weights.append(w.reshape(fan_in, fan_out))
-            b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
-            if b.size != fan_out:
-                raise FormatError(f"{path}: truncated bias block")
-            biases.append(b)
+            weights.append(_read_block(f, path, "<f8", fan_in * fan_out, "weight block")
+                           .reshape(fan_in, fan_out))
+            biases.append(_read_block(f, path, "<f8", fan_out, "bias block"))
     # the activation lives only in the sidecar; a guessed one mispredicts
     sidecar = str(path) + ".json"
     try:

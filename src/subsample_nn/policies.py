@@ -13,9 +13,14 @@ touching the output layer in full. The policies charge only their selection
 work (hash probes, the skipped share of a mask-building product,
 sampling-probability norms), inside FLOPS.phase("policy_overhead"), so its
 FLOPs and seconds go to that phase and not to the caller's.
+
+A policy holds its configuration, its random stream and (ALSH) its index; a
+run's statistics go to the RunCounts record that train owns and passes to bind.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,35 +46,30 @@ def adaptive_keep_probs(pre_activation, alpha, beta) -> np.ndarray:
     return np.clip(_stable_sigmoid(alpha * z + beta), 0.01, 1.0)
 
 
+@dataclass
+class RunCounts:
+    """One training run's policy statistics."""
+
+    active_fraction_sum: float = 0.0  # per sample and hidden layer: kept / width
+    active_queries: int = 0  # (sample, hidden layer) pairs behind that sum
+    fallback_events: int = 0
+    rebuilds: int = 0
+    sampled_product_flops: int = 0
+    replaced_exact_flops: int = 0
+
+
 class ComputePolicy:
     """Exact computation; base class that the sampling policies override."""
 
     name = "exact"
 
-    def __init__(self):
-        self._rng = None
-        self.reset_stats()
-
-    def reset_stats(self):
-        self.sampled_product_flops = 0
-        self.replaced_exact_flops = 0
-        self.fallback_events = 0
-        self.active_fraction_sum = 0.0
-        self.active_queries = 0
-
-    def bind(self, model: nn.MlpModel, seed: int = 0):
-        """Attach to one training run; resets per-run state."""
+    def bind(self, model: nn.MlpModel, seed: int, counts: RunCounts):
+        """Attach to one training run, whose statistics go to counts."""
         self._rng = stream(seed, "policy", self.name)
-        self.reset_stats()
+        self._counts = counts
 
     def describe(self) -> dict:
         return {"kind": self.name}
-
-    @property
-    def mean_active_fraction(self):
-        if self.active_queries == 0:
-            return None
-        return self.active_fraction_sum / self.active_queries
 
     # -- hooks -------------------------------------------------------------
 
@@ -79,27 +79,21 @@ class ComputePolicy:
     def backward(self, model, trace, targets) -> nn.Gradients:
         return nn.backward(model, trace, targets)
 
-    def on_samples_seen(self, model, samples_seen):
-        pass
+    def on_samples_seen(self, model, seen: range):
+        """After each step; seen holds the step's 1-based sample counts in the run."""
 
 
 class _ColumnPolicy(ComputePolicy):
     """Node selection: forward computes hidden layer k only for the nodes
     `_layer_mask` keeps; the inherited backward follows the trace's masks."""
 
-    def _layer_mask(self, model, k, a_prev, rng):
+    def _layer_mask(self, model, k, a_prev):
         """Return (mask, scale, z) for hidden layer k. z is None when the mask
         is chosen before the product, which is then computed only where kept."""
         raise NotImplementedError
 
     def forward(self, model, x):
-        def select(k, a_prev):
-            mask, scale, z = self._layer_mask(model, k, a_prev, self._rng)
-            self.active_fraction_sum += mask.mean(axis=1).sum()
-            self.active_queries += a_prev.shape[0]
-            return mask, scale, z
-
-        return nn.forward(model, x, select)
+        return nn.forward(model, x, lambda k, a: self._layer_mask(model, k, a))
 
 
 class DropoutPolicy(_ColumnPolicy):
@@ -109,7 +103,6 @@ class DropoutPolicy(_ColumnPolicy):
     name = "dropout"
 
     def __init__(self, p_keep=0.05):
-        super().__init__()
         if not 0.0 < p_keep <= 1.0:
             raise ParameterError(f"p_keep must be in (0,1], got {p_keep}")
         self.p_keep = float(p_keep)
@@ -117,9 +110,9 @@ class DropoutPolicy(_ColumnPolicy):
     def describe(self):
         return {"kind": self.name, "p_keep": self.p_keep}
 
-    def _layer_mask(self, model, k, a_prev, rng):
+    def _layer_mask(self, model, k, a_prev):
         width = model.layer_dims[k + 1]
-        mask = rng.random((a_prev.shape[0], width)) < self.p_keep
+        mask = self._rng.random((a_prev.shape[0], width)) < self.p_keep
         return mask, 1.0 / self.p_keep, None
 
 
@@ -135,19 +128,18 @@ class AdaptiveDropoutPolicy(_ColumnPolicy):
     name = "adaptive_dropout"
 
     def __init__(self, alpha=1.0, beta=0.0):
-        super().__init__()
         self.alpha = float(alpha)
         self.beta = float(beta)
 
     def describe(self):
         return {"kind": self.name, "alpha": self.alpha, "beta": self.beta}
 
-    def _layer_mask(self, model, k, a_prev, rng):
+    def _layer_mask(self, model, k, a_prev):
         w, b = model.weights[k], model.biases[k]
         with FLOPS.phase("policy_overhead"):
             z = a_prev @ w + b
             probs = adaptive_keep_probs(z, self.alpha, self.beta)
-            mask = rng.random(z.shape) < probs
+            mask = self._rng.random(z.shape) < probs
             FLOPS.add(2 * w.shape[0] * int((~mask).sum()) + 4 * z.size)
         scale = np.where(mask, 1.0 / probs, 1.0)
         return mask, scale, z
@@ -169,11 +161,8 @@ class AlshPolicy(_ColumnPolicy):
     name = "alsh"
 
     def __init__(self, params: alsh_mod.AlshParams | None = None):
-        super().__init__()
         self.params = params or alsh_mod.AlshParams()
         self.indexes = []
-        self._samples_seen = 0
-        self.rebuild_count = 0
 
     @classmethod
     def from_config(cls, **config):
@@ -185,26 +174,22 @@ class AlshPolicy(_ColumnPolicy):
         return {"kind": self.name, **{n: getattr(self.params, field)
                                       for n, field in _ALSH_CONFIG_NAMES.items()}}
 
-    def bind(self, model, seed=0):
-        super().bind(model, seed)
-        self._samples_seen = 0
-        self.rebuild_count = 0
+    def bind(self, model, seed, counts):
+        super().bind(model, seed, counts)
         self.indexes = []
         for k in range(model.n_layers - 1):
             layer_seed = int(stream(seed, "alsh-layer", k).integers(0, 2**63))
             self.indexes.append(
                 alsh_mod.build_index(model.weights[k].T, self.params, layer_seed))
 
-    def on_samples_seen(self, model, samples_seen):
+    def on_samples_seen(self, model, seen):
         # a batch may jump past a cadence boundary; rebuild at most once per call
-        seen = range(self._samples_seen + 1, samples_seen + 1)
         if any(alsh_mod.rebuild_schedule(s) for s in seen):
             self.indexes = [alsh_mod.rebuild_index(idx, model.weights[k].T)
                             for k, idx in enumerate(self.indexes)]
-            self.rebuild_count += 1
-        self._samples_seen = samples_seen
+            self._counts.rebuilds += 1
 
-    def _layer_mask(self, model, k, a_prev, rng):
+    def _layer_mask(self, model, k, a_prev):
         mask = np.zeros((a_prev.shape[0], model.layer_dims[k + 1]), dtype=bool)
         with FLOPS.phase("policy_overhead"):
             for row in range(a_prev.shape[0]):
@@ -212,7 +197,7 @@ class AlshPolicy(_ColumnPolicy):
                 if active.size:
                     mask[row, active] = True
                 else:
-                    self.fallback_events += 1
+                    self._counts.fallback_events += 1
                     mask[row, :] = True
         return mask, 1.0, None
 
@@ -234,7 +219,6 @@ class McBackpropPolicy(ComputePolicy):
     name = "mc"
 
     def __init__(self, k_samples=10):
-        super().__init__()
         if k_samples < 1:
             raise ParameterError("k_samples must be at least 1")
         self.k_samples = int(k_samples)
@@ -242,12 +226,12 @@ class McBackpropPolicy(ComputePolicy):
     def describe(self):
         return {"kind": self.name, "k_samples": self.k_samples}
 
-    def bind(self, model, seed=0):
+    def bind(self, model, seed, counts):
         for width in model.layer_dims[1:-1]:
             if self.k_samples > width:
                 raise ParameterError(
                     f"k_samples={self.k_samples} exceeds hidden width {width}")
-        super().bind(model, seed)
+        super().bind(model, seed, counts)
 
     def _sampled_product(self, k, a, b, out):
         a, b = as_matrix(a), as_matrix(b)  # once: both calls below take them as they are
@@ -257,8 +241,8 @@ class McBackpropPolicy(ComputePolicy):
             probs = mc_mod.optimal_probs_bernoulli(a, b, k_eff)
         estimate, plan = mc_mod.approx_matmul_bernoulli(a, b, k_eff, self._rng, probs=probs,
                                                         out=out)
-        self.sampled_product_flops += 2 * a.shape[0] * plan.indices.size * b.shape[1]
-        self.replaced_exact_flops += 2 * a.shape[0] * shared * b.shape[1]
+        self._counts.sampled_product_flops += 2 * a.shape[0] * plan.indices.size * b.shape[1]
+        self._counts.replaced_exact_flops += 2 * a.shape[0] * shared * b.shape[1]
         return estimate
 
     def backward(self, model, trace, targets):

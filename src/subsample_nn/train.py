@@ -3,7 +3,8 @@
 Batch size 1 is plain stochastic descent; larger batches switch the per-step
 products to matrix-matrix form. Each call runs in a FLOPS.phase, which gets
 its modeled FLOPs and wall seconds; total_flops is the sum over phases. FLOPs
-are the hardware-independent numbers, wall seconds are informational.
+are the hardware-independent numbers, wall seconds are informational. The
+loop owns the run's RunCounts record and fills the report's counters from it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .data import Split
 from .errors import ParameterError
 from .linalg import FLOPS, stream
 from .nn import MlpModel, Optimizer, step
-from .policies import ComputePolicy
+from .policies import ComputePolicy, RunCounts
 
 
 def evaluate_accuracy(model, dataset) -> float:
@@ -35,7 +36,8 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
     if epochs < 0:
         raise ParameterError("epochs must be non-negative")
 
-    policy.bind(model, seed)
+    counts = RunCounts()
+    policy.bind(model, seed, counts)
     FLOPS.take()  # bind's index build and any earlier work are setup, not training
     run_start = time.perf_counter()
 
@@ -44,7 +46,7 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
     features = split.train.features
     labels = split.train.labels
     n_train = len(split.train)
-    samples_seen = 0
+    seen = range(1, 1)  # the run's sample counts, 1-based, of the step just run
 
     for epoch in range(1, epochs + 1):
         order = stream(seed ^ epoch, "shuffle").permutation(n_train)
@@ -53,13 +55,16 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
             xb, yb = features[idx], labels[idx]
             with FLOPS.phase("feedforward"):
                 trace = policy.forward(model, xb)
+                for mask in trace.masks or ():
+                    counts.active_fraction_sum += mask.mean(axis=1).sum()
+                    counts.active_queries += idx.size
             with FLOPS.phase("backprop"):
                 grads = policy.backward(model, trace, yb)
             with FLOPS.phase("optimizer"):
                 step(optimizer, model, grads)
-            samples_seen += idx.size
+            seen = range(seen.stop, seen.stop + idx.size)
             with FLOPS.phase("policy_overhead"):
-                policy.on_samples_seen(model, samples_seen)
+                policy.on_samples_seen(model, seen)
         with FLOPS.phase("eval"):
             val_accuracy.append(evaluate_accuracy(model, split.validation))
 
@@ -88,9 +93,10 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
         confusion=cm.counts.tolist(),
         label_histogram=cm.predicted_histogram().tolist(),
         distinct_predicted_labels=distinct,
-        active_set_fraction=policy.mean_active_fraction,
-        fallback_events=policy.fallback_events,
-        rebuilds=getattr(policy, "rebuild_count", 0),
-        sampled_product_flops=policy.sampled_product_flops,
-        replaced_exact_flops=policy.replaced_exact_flops,
+        active_set_fraction=(counts.active_fraction_sum / counts.active_queries
+                             if counts.active_queries else None),
+        fallback_events=counts.fallback_events,
+        rebuilds=counts.rebuilds,
+        sampled_product_flops=counts.sampled_product_flops,
+        replaced_exact_flops=counts.replaced_exact_flops,
     )

@@ -22,7 +22,7 @@ from subsample_nn.linalg import FLOPS, stream
 from subsample_nn.nn import Optimizer, init_weights
 from subsample_nn.policies import (AdaptiveDropoutPolicy, AlshPolicy,
                                    ComputePolicy, DropoutPolicy,
-                                   McBackpropPolicy, make_policy)
+                                   McBackpropPolicy, RunCounts, make_policy)
 from subsample_nn.train import train
 
 DATA_SEED = 101
@@ -282,7 +282,7 @@ def test_c05_distance_identity_and_recall():
 
 
 def _fd_max_rel_error(model, policy, x, target, h=1e-5):
-    policy.bind(model, seed=0)
+    policy.bind(model, 0, RunCounts())
     trace = policy.forward(model, x)
     grads = policy.backward(model, trace, target)
 
@@ -332,7 +332,7 @@ def test_c06_gradient_correctness():
                           [cols.T.copy(), rng.standard_normal((4, 3)) * 0.3],
                           [np.zeros(4), np.zeros(3)])
         alsh_policy = AlshPolicy(AlshParams(bits=1, tables=50))
-        alsh_policy.bind(toy, seed=85)
+        alsh_policy.bind(toy, 85, RunCounts())
         assert alsh_policy.forward(toy, base).masks[0].all(), "toy index must saturate"
         results["alsh(all-active)"] = _fd_max_rel_error(toy, alsh_policy, base, 1)
         worst = max(results.values())

@@ -11,8 +11,10 @@ import pytest
 
 from subsample_nn import mc, nn, policies
 from subsample_nn.alsh import AlshParams, build_index, query_active
+from subsample_nn.data import split, synth_blobs
 from subsample_nn.linalg import stream
 from subsample_nn.mc import approx_matmul_bernoulli
+from subsample_nn.train import train
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -38,6 +40,31 @@ def test_every_policy_kind_has_the_hooks(kind):
     policy = policies.make_policy(kind)
     for hook in POLICY_HOOKS:
         assert callable(getattr(policy, hook, None)), f"{kind} lacks {hook}"
+
+
+class _RecordingProxy:
+    """Forwards every attribute read to a policy and records its name."""
+
+    def __init__(self, policy):
+        self._policy = policy
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._policy, name)
+
+
+@pytest.mark.parametrize("kind", sorted(policies._POLICIES))
+def test_train_reads_only_the_policy_hooks(kind):
+    # the worker wraps the four hooks and reads everything else from the
+    # report; describe names the policy in it
+    sp = split(synth_blobs(40, 6, 3, separation=8.0, seed=0), 20, 10, 10, seed=0)
+    proxy = _RecordingProxy(policies.make_policy(kind, k_samples=4) if kind == "mc"
+                            else policies.make_policy(kind))
+    report = train(nn.init_weights([6, 8, 8, 3], seed=1), sp, proxy,
+                   nn.Optimizer("adam", 1e-3), epochs=1, batch_size=3, seed=2)
+    assert proxy.read <= {*POLICY_HOOKS, "describe"}
+    assert report.policy["kind"] == kind
 
 
 def test_query_length_is_the_node_count():
@@ -76,7 +103,7 @@ def test_mc_backward_calls_both_sampling_functions_per_product(monkeypatch):
     layers = 3
     model = nn.init_weights([6, 5, 4, 3], seed=4)
     policy = policies.make_policy("mc", k_samples=2)
-    policy.bind(model, seed=5)
+    policy.bind(model, 5, policies.RunCounts())
     x = stream(6, "contract-mc-x").standard_normal((4, 6))
     policy.backward(model, policy.forward(model, x), [0, 1, 2, 0])
     assert calls == dict.fromkeys(calls, 2 * layers - 1)

@@ -76,14 +76,21 @@ class TestTrain:
                     "--set", "policy.kind=dropout", "--set", "policy.p_keep=0"])
         assert code == 2
 
-    def test_non_numeric_setting_is_usage_error(self, blob_config, tmp_path, capsys):
+    @pytest.mark.parametrize("setting", [
+        "epochs", "dataset.noise", "dataset.separation", "dataset.n_features", "policy.p_keep",
+        "policy.alpha", "policy.C", "policy.K", "policy.k_samples",
+    ])
+    def test_non_numeric_setting_is_usage_error(self, blob_config, tmp_path, capsys, setting):
         code = run(["train", "--config", str(blob_config),
-                    "--out", str(tmp_path / "x"), "--set", "epochs=abc"])
+                    "--out", str(tmp_path / "x"), "--set", f"{setting}=abc"])
         assert code == 2
-        assert "error: epochs must be an integer, got 'abc'" in capsys.readouterr().err
+        kind = "an integer" if cli.NUMERIC_SETTINGS[setting] is int else "a number"
+        assert f"error: {setting} must be {kind}, got 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting,value", [
         ("epochs", "1.5"), ("architecture.hidden_width", "32.9"), ("dataset.train_n", "100.5"),
+        ("dataset.n_features", "1.5"), ("dataset.n_classes", "2.5"), ("policy.K", "1.5"),
+        ("policy.k_samples", "1.5"),
     ])
     def test_fractional_integer_setting_is_usage_error(self, blob_config, tmp_path, capsys,
                                                        setting, value):
@@ -93,6 +100,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"error: {setting} must be an integer, got {float(value)!r}" in err
         assert not (tmp_path / "x").exists()
+
+    def test_config_file_and_set_give_the_same_policy_parameter(self, tmp_path):
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"policy": {"kind": "mc", "k_samples": "10"}}))
+        from_file = cli.resolve_config(cli.load_config(path))
+        from_set = cli.resolve_config(cli.load_config(None, ["policy.kind=mc",
+                                                             "policy.k_samples=10"]))
+        assert from_file["policy"] == from_set["policy"] == {"kind": "mc", "k_samples": 10}
 
     def test_integral_float_setting_is_accepted(self):
         cfg = cli.resolve_config(cli.load_config(None, ["epochs=2.0"]))

@@ -154,11 +154,14 @@ class TestApproxCR:
         rng = stream(20, "cr-plan")
         a = rng.standard_normal((4, 5))
         b = rng.standard_normal((5, 4))
-        _, plan = approx_matmul_cr(a, b, 3, stream(21, "draws"))
-        assert abs(plan.probabilities.sum() - 1.0) <= 1e-12
+        est, plan = approx_matmul_cr(a, b, 3, stream(21, "draws"))
+        probs = optimal_probs_cr(a, b)
+        assert abs(probs.sum() - 1.0) <= 1e-12
         assert plan.indices.shape == (3,)
+        # the estimate is the plan's draws, each weighted 1/(c p_j)
+        scales = 1.0 / (3 * probs[plan.indices])
         np.testing.assert_allclose(
-            plan.scales, 1.0 / (3 * plan.probabilities[plan.indices]), atol=1e-15)
+            est, (a[:, plan.indices] * scales) @ b[plan.indices, :], atol=1e-12)
 
 
 def test_reusing_one_plan_for_both_directions_is_biased():
@@ -291,7 +294,8 @@ class TestApproxBernoulli:
         out = buffer[1:].reshape(a.shape[0], b.shape[1])
         estimate, plan = approx_matmul_bernoulli(a, b, k, stream(18, "out", case), out=out)
         assert estimate is out
-        want = bernoulli_reference(a, b, plan.indices, plan.scales)
+        scales = 1.0 / optimal_probs_bernoulli(a, b, k)[plan.indices]
+        want = bernoulli_reference(a, b, plan.indices, scales)
         assert out.tobytes() == want.tobytes()
         fresh, _ = approx_matmul_bernoulli(a, b, k, stream(18, "out", case))
         assert fresh.tobytes() == want.tobytes()

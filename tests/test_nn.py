@@ -336,3 +336,16 @@ def test_checkpoint_without_sidecar_is_rejected(tmp_path):
     (tmp_path / "model.bin.json").unlink()
     with pytest.raises(FormatError, match="model.bin.json"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keep", [4 + 2, 4 + 8 + 4, 4 + 8 + 12 + 8 * 7],
+                         ids=["header", "dims", "weights"])
+def test_truncated_checkpoint_is_rejected(tmp_path, keep):
+    # MLPC then 2 of the 8 header bytes, 1 of the 3 layer dims, or 7 of the
+    # first layer's 30 weights
+    model = random_model([5, 6, 3], seed=8)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(path)

@@ -3,15 +3,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from subsample_nn import mc, nn
+from subsample_nn import alsh, mc, nn
 from subsample_nn.alsh import AlshParams
 from subsample_nn.data import Dataset
 from subsample_nn.errors import ParameterError
 from subsample_nn.linalg import FLOPS, stream
 from subsample_nn.policies import (AdaptiveDropoutPolicy, AlshPolicy,
                                    ComputePolicy, DropoutPolicy,
-                                   McBackpropPolicy, adaptive_keep_probs,
-                                   make_policy)
+                                   McBackpropPolicy, RunCounts,
+                                   adaptive_keep_probs, make_policy)
 from subsample_nn.train import evaluate_accuracy
 
 
@@ -79,7 +79,7 @@ class TestDropout:
         model = nn.init_weights([6, 10, 3], seed=3)
         x = stream(4, "x").standard_normal(6)
         policy = DropoutPolicy(p_keep=1.0)
-        policy.bind(model, seed=0)
+        policy.bind(model, 0, RunCounts())
         trace = policy.forward(model, x)
         np.testing.assert_array_equal(trace.output, nn.forward(model, x).output)
         grads = policy.backward(model, trace, 1)
@@ -91,7 +91,7 @@ class TestDropout:
         model = nn.init_weights([784, 128, 10], seed=3)
         x = stream(4, "x").random(784)
         policy = DropoutPolicy(p_keep=1.0)
-        policy.bind(model, seed=0)
+        policy.bind(model, 0, RunCounts())
         dropout_flops = backprop_flops(policy, model, policy.forward(model, x), 1)
         exact = ComputePolicy()
         exact_flops = backprop_flops(exact, model, exact.forward(model, x), 1)
@@ -103,7 +103,7 @@ class TestDropout:
         # are charged in full, and no delta is propagated below layer 0
         model = nn.init_weights([6, 8, 8, 3], seed=8)
         policy = DropoutPolicy(p_keep=0.5)
-        policy.bind(model, seed=9)
+        policy.bind(model, 9, RunCounts())
         x = stream(10, "x").standard_normal((4, 6))
         trace = policy.forward(model, x)
         kept = [int(mask.sum()) for mask in trace.masks]
@@ -119,8 +119,8 @@ class TestDropout:
         model = nn.init_weights([6, 12, 12, 3], seed=5)
         x1, x2 = stream(6, "x").standard_normal((2, 2, 6))
         first, second = DropoutPolicy(p_keep=0.5), DropoutPolicy(p_keep=0.5)
-        first.bind(model, seed=7)
-        second.bind(model, seed=7)
+        first.bind(model, 7, RunCounts())
+        second.bind(model, 7, RunCounts())
         trace = first.forward(model, x1)
         first.forward(model, x2)
         stale = first.backward(model, trace, [0, 2])
@@ -131,7 +131,7 @@ class TestDropout:
         # unselected nodes must have zero activation, zero delta, zero dW column
         model = nn.init_weights([6, 12, 3], seed=5)
         policy = DropoutPolicy(p_keep=0.4)
-        policy.bind(model, seed=7)
+        policy.bind(model, 7, RunCounts())
         x = stream(6, "x").standard_normal((2, 6))
         trace = policy.forward(model, x)
         mask = trace.masks[0]
@@ -145,7 +145,7 @@ class TestDropout:
         model = nn.MlpModel([2, 3, 2], [np.ones((2, 3)), np.ones((3, 2))],
                             [np.zeros(3), np.zeros(2)])
         policy = DropoutPolicy(p_keep=0.5)
-        policy.bind(model, seed=1)
+        policy.bind(model, 1, RunCounts())
         trace = policy.forward(model, np.ones(2))
         kept = trace.masks[0][0]
         np.testing.assert_allclose(trace.activations[1][0][kept], 2.0 / 0.5)
@@ -175,7 +175,7 @@ class TestAdaptiveDropout:
         model = nn.init_weights([5, 7, 3], seed=8)
         x = stream(9, "x").standard_normal((2, 5))
         policy = AdaptiveDropoutPolicy(alpha=0.0, beta=1000.0)
-        policy.bind(model, seed=0)
+        policy.bind(model, 0, RunCounts())
         trace = policy.forward(model, x)
         np.testing.assert_array_equal(trace.output, nn.forward(model, x).output)
         grads = policy.backward(model, trace, [0, 1])
@@ -185,7 +185,7 @@ class TestAdaptiveDropout:
     def test_overhead_charged(self):
         model = nn.init_weights([5, 7, 3], seed=8)
         policy = AdaptiveDropoutPolicy()
-        policy.bind(model, seed=0)
+        policy.bind(model, 0, RunCounts())
         with FLOPS.phase("feedforward"):
             policy.forward(model, np.ones(5))
         assert FLOPS.take()[0]["policy_overhead"] > 0
@@ -195,7 +195,7 @@ class TestAlshPolicy:
     def test_toy_saturation_is_exact_bitwise(self):
         model, base = near_parallel_columns_model()
         policy = AlshPolicy(AlshParams(bits=1, tables=50))
-        policy.bind(model, seed=11)
+        policy.bind(model, 11, RunCounts())
         trace = policy.forward(model, base)
         assert trace.masks[0].all()  # every column is active
         np.testing.assert_array_equal(trace.output, nn.forward(model, base).output)
@@ -205,13 +205,13 @@ class TestAlshPolicy:
         model.hidden_activation = "linear"  # keep the active columns live
 
         class FixedMask(AlshPolicy):
-            def _layer_mask(self, model, k, a_prev, rng):
+            def _layer_mask(self, model, k, a_prev):
                 mask = np.zeros((a_prev.shape[0], 4), dtype=bool)
                 mask[:, [0, 2]] = True
                 return mask, 1.0, None
 
         policy = FixedMask(AlshParams())
-        policy.bind(model, seed=0)
+        policy.bind(model, 0, RunCounts())
         x = stream(13, "x").standard_normal(5)
         trace = policy.forward(model, x)
         assert not trace.activations[1][:, [1, 3]].any()
@@ -224,47 +224,50 @@ class TestAlshPolicy:
     def test_empty_probe_falls_back_to_exact(self):
         model = nn.init_weights([5, 4, 3], seed=14)
         policy = AlshPolicy(AlshParams())
-        policy.bind(model, seed=0)
+        counts = RunCounts()
+        policy.bind(model, 0, counts)
         policy.indexes[0].signatures[:] = -1  # no bucket id a query can match
         x = stream(15, "x").standard_normal(5)
         trace = policy.forward(model, x)
-        assert policy.fallback_events == 1
+        assert counts.fallback_events == 1
         np.testing.assert_array_equal(trace.output, nn.forward(model, x).output)
 
     def test_active_fraction_well_below_one(self):
         model = nn.init_weights([64, 512, 10], seed=16)
         policy = AlshPolicy()  # defaults K=6, L=5
-        policy.bind(model, seed=1)
+        policy.bind(model, 1, RunCounts())
         rng = stream(17, "x")
-        for _ in range(20):
-            policy.forward(model, rng.standard_normal(64))
-        assert policy.mean_active_fraction is not None
-        assert policy.mean_active_fraction < 0.5
+        fractions = [policy.forward(model, rng.standard_normal(64)).masks[0].mean()
+                     for _ in range(20)]
+        assert np.mean(fractions) < 0.5
 
     def test_rebuild_cadence(self):
         model = nn.init_weights([6, 8, 3], seed=18)
         policy = AlshPolicy()
-        policy.bind(model, seed=0)
-        policy.on_samples_seen(model, 50)
-        assert policy.rebuild_count == 0
+        counts = RunCounts()
+        policy.bind(model, 0, counts)
+        policy.on_samples_seen(model, range(1, 51))
+        assert counts.rebuilds == 0
         before = [idx.signatures for idx in policy.indexes]
-        policy.on_samples_seen(model, 100)
-        assert policy.rebuild_count == 1
+        policy.on_samples_seen(model, range(51, 101))
+        assert counts.rebuilds == 1
         # weights unchanged, same projections: identical buckets
         assert all(np.array_equal(idx.signatures, sig)
                    for idx, sig in zip(policy.indexes, before))
 
-    def test_inference_is_exact_forward(self):
+    def test_inference_is_exact_forward(self, monkeypatch):
         # evaluation takes no policy: a bound hash policy is never queried
         model, base = near_parallel_columns_model(seed=1)
         policy = AlshPolicy(AlshParams())
-        policy.bind(model, seed=0)
+        policy.bind(model, 0, RunCounts())
+        queries = []
+        monkeypatch.setattr(alsh, "query_active", lambda *args: queries.append(args))
         features = base[None, :] + stream(1, "eval").standard_normal((20, 6))
         preds = np.argmax(nn.forward(model, features).output, axis=1)
         labels = np.arange(20) % 3
         accuracy = evaluate_accuracy(model, Dataset(features, labels, 3))
         assert accuracy == (preds == labels).mean()
-        assert policy.active_queries == 0  # mask stats come from training only
+        assert queries == []
 
 
 class TestMcBackprop:
@@ -272,7 +275,7 @@ class TestMcBackprop:
         model = nn.init_weights([3, 4, 2], seed=20)
         x = stream(21, "x").standard_normal(3)
         policy = McBackpropPolicy(k_samples=4)
-        policy.bind(model, seed=0)
+        policy.bind(model, 0, RunCounts())
         trace = policy.forward(model, x)
         np.testing.assert_array_equal(trace.output, nn.forward(model, x).output)
         grads = policy.backward(model, trace, 1)
@@ -282,7 +285,7 @@ class TestMcBackprop:
         model = nn.init_weights([3, 4, 3], seed=22)
         x = stream(23, "x").standard_normal((3, 3))
         policy = McBackpropPolicy(k_samples=4)  # >= batch and >= widths
-        policy.bind(model, seed=0)
+        policy.bind(model, 0, RunCounts())
         trace = policy.forward(model, x)
         grads = policy.backward(model, trace, [0, 1, 2])
         assert grads_allclose(grads, nn.backward(model, trace, [0, 1, 2]), atol=1e-12)
@@ -307,7 +310,7 @@ class TestMcBackprop:
                 continue
             uniforms = [0.0] + [0.0 if z else 1 - 1e-12 for z in zs] + [0.0]
             policy = McBackpropPolicy(k_samples=2)
-            policy.bind(model, seed=0)
+            policy.bind(model, 0, RunCounts())
             policy._rng = ForcedUniforms(uniforms)
             grads = policy.backward(model, trace, target)
             mean_dw0 += weight * grads.weights[0]
@@ -344,7 +347,7 @@ class TestMcBackprop:
                             + [0.0, 0.0]
                             + [0.0 if z else 1 - 1e-12 for z in z0])
                 policy = McBackpropPolicy(k_samples=2)
-                policy.bind(model, seed=0)
+                policy.bind(model, 0, RunCounts())
                 policy._rng = ForcedUniforms(uniforms)
                 grads = policy.backward(model, trace, targets)
                 mean_dw1 += w1 * w0 * grads.weights[1]
@@ -357,18 +360,19 @@ class TestMcBackprop:
     def test_overhead_exceeds_savings_at_batch_one(self):
         model = nn.init_weights([512, 512, 10], seed=28)
         policy = McBackpropPolicy(k_samples=10)
-        policy.bind(model, seed=0)
+        counts = RunCounts()
+        policy.bind(model, 0, counts)
         x = stream(29, "x").standard_normal(512)
         trace = policy.forward(model, x)
         with FLOPS.phase("backprop"):
             policy.backward(model, trace, 3)
-        saved = policy.replaced_exact_flops - policy.sampled_product_flops
+        saved = counts.replaced_exact_flops - counts.sampled_product_flops
         assert FLOPS.take()[0]["policy_overhead"] > saved
 
     def test_k_exceeding_width_rejected_at_bind(self):
         model = nn.init_weights([4, 3, 2], seed=0)
         with pytest.raises(ParameterError):
-            McBackpropPolicy(k_samples=5).bind(model)
+            McBackpropPolicy(k_samples=5).bind(model, 0, RunCounts())
 
 
 class TestFactory:

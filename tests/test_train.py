@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from subsample_nn import alsh
 from subsample_nn.data import synth_blobs, split
 from subsample_nn.linalg import FLOPS
 from subsample_nn.nn import Optimizer, init_weights
@@ -84,3 +85,27 @@ def test_alsh_run_reports_sparsity_and_rebuilds():
     assert 0.0 < report.active_set_fraction < 1.0
     assert report.rebuilds == 6  # 600 samples seen at cadence 100
     assert len(report.val_accuracy) == 2
+
+
+def counter_run(kind, batch_size, epochs, **params):
+    """A 16-32-32-3 run on 300/100/100 blobs, seed 6."""
+    sp = split(synth_blobs(500, 16, 3, separation=10.0, seed=0), 300, 100, 100, seed=0)
+    model = init_weights([16, 32, 32, 3], seed=1)
+    return train(model, sp, make_policy(kind, **params), Optimizer("adam", 1e-3),
+                 epochs=epochs, batch_size=batch_size, seed=6)
+
+
+def test_mc_counts_sampled_and_replaced_backprop_flops():
+    # MC samples every backprop product: the sampled FLOPs are the whole phase,
+    # and the products they replace are the exact run's
+    mc = counter_run("mc", 7, 2, k_samples=8)
+    exact = counter_run("exact", 7, 2)
+    assert mc.sampled_product_flops == mc.phase_flops["backprop"] == 2383424
+    assert mc.replaced_exact_flops == exact.phase_flops["backprop"] == 3302400
+
+
+def test_alsh_counts_one_fallback_per_sample_and_layer(monkeypatch):
+    monkeypatch.setattr(alsh, "query_active", lambda index, query: np.empty(0, dtype=np.int64))
+    report = counter_run("alsh", 1, 1)
+    assert report.fallback_events == 300 * 2
+    assert report.active_set_fraction == 1.0
