@@ -3,8 +3,10 @@
 Subcommands: train, sweep, verify-theory, matmul-bench. Runs are configured by
 a JSON file plus repeatable --set key=value overrides; every artifact a run
 writes is determined by (config, seed), except wall-clock columns in
-timing.csv. Exit codes: 0 ok, 1 runtime failure, 2 usage error, 3 theory
-verification failure.
+timing.csv. Policy kinds are exact names, and the policy's constructor
+converts and checks its parameters, whether set in the file, by --set or with
+sweep --vary policy. Exit codes: 0 ok, 1 runtime failure, 2 usage error,
+3 theory verification failure.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, data, mc
-from .errors import ParameterError, SubsampleNNError
+from .errors import ParameterError, SubsampleNNError, _number
 from .linalg import stream
 from .nn import Optimizer, init_weights, save_checkpoint, usable_cpus
 from .policies import make_policy
@@ -53,17 +55,13 @@ DEFAULT_CONFIG = {
 DEFAULT_SPLIT = {"train_n": 5000, "test_n": 1000, "val_n": 1000}
 IDX_DEFAULT_SPLIT = {"train_n": 55000, "test_n": 10000, "val_n": 5000}
 
-# settings read as numbers, by their --set path; a policy parameter is read
-# only when it is set, since its default lives in the policy's constructor
+# settings read as numbers, by their --set path (a policy converts its own)
 NUMERIC_SETTINGS = {"seed": int, "epochs": int, "batch_size": int,
                     "optimizer.learning_rate": float, "architecture.hidden_layers": int,
                     "architecture.hidden_width": int, "dataset.train_n": int,
                     "dataset.test_n": int, "dataset.val_n": int, "dataset.noise": float,
                     "dataset.n_features": int, "dataset.n_classes": int,
-                    "dataset.separation": float, "policy.p_keep": float,
-                    "policy.alpha": float, "policy.beta": float, "policy.C": float,
-                    "policy.K": int, "policy.L": int, "policy.m": int,
-                    "policy.k_samples": int}
+                    "dataset.separation": float}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -104,42 +102,32 @@ def load_config(path=None, sets=()) -> dict:
 
 
 def resolve_config(config: dict) -> dict:
-    """Convert the numeric settings to numbers, then fill the defaults that
-    depend on other settings: split sizes, batch size and learning rate. Runs
-    on the merged config, so a setting has the same effect from a config file
-    and from --set."""
+    """Convert the numeric settings, and the policy section by building the
+    policy, then fill the defaults that depend on other settings: split sizes,
+    batch size and learning rate. Runs on the merged config, so a setting has
+    the same effect from a config file and from --set."""
     config = copy.deepcopy(config)
     for path, number in NUMERIC_SETTINGS.items():
         *section, key = path.split(".")
         node = config[section[0]] if section else config
         defaults = DEFAULT_CONFIG[section[0]] if section else DEFAULT_CONFIG
-        if key not in node or node[key] is None and key in defaults and defaults[key] is None:
-            continue  # unset, or null where a default is filled below
+        if node[key] is None and defaults[key] is None:
+            continue  # null where a default is filled below
         node[key] = _number(path, number, node[key])
+    policy_cfg = dict(config["policy"])
+    policy = make_policy(policy_cfg.pop("kind", "exact"), **policy_cfg)
+    config["policy"].update({key: getattr(policy, key) for key in policy_cfg})
     ds_cfg = config["dataset"]
     split_defaults = IDX_DEFAULT_SPLIT if ds_cfg.get("kind") == "idx" else DEFAULT_SPLIT
     for key, value in split_defaults.items():
         if ds_cfg.get(key) is None:
             ds_cfg[key] = value
-    kind = config["policy"].get("kind", "exact")
     if config["batch_size"] is None:
-        config["batch_size"] = 20 if kind == "mc" else 1
+        config["batch_size"] = 20 if policy.name == "mc" else 1
     if config["optimizer"].get("learning_rate") is None:
-        sgd_mc = kind == "mc" and config["batch_size"] == 1
+        sgd_mc = policy.name == "mc" and config["batch_size"] == 1
         config["optimizer"]["learning_rate"] = 1e-4 if sgd_mc else 1e-3
     return config
-
-
-def _number(path: str, number, value):
-    """value as an int or a float; an int setting takes no fractional value."""
-    try:
-        converted = number(value)
-    except (TypeError, ValueError, OverflowError):
-        converted = None
-    if converted is None or (number is int and isinstance(value, float) and converted != value):
-        raise ParameterError(f"{path} must be {'an integer' if number is int else 'a number'}"
-                             f", got {value!r}")
-    return converted
 
 
 def build_dataset(cfg: dict, seed: int) -> data.Split:
@@ -212,7 +200,8 @@ def cmd_train(args) -> int:
 
 
 # sweep axis -> the setting each value is assigned to, as by --set
-SWEEP_AXES = {"layers": "architecture.hidden_layers", "batch": "batch_size"}
+SWEEP_AXES = {"layers": "architecture.hidden_layers", "batch": "batch_size",
+              "policy": "policy.kind"}
 
 
 def _variant_configs(config: dict, vary: str):
@@ -224,15 +213,12 @@ def _variant_configs(config: dict, vary: str):
     values = [v.strip() for v in raw.split(",") if v.strip()]
     if not values:
         raise ParameterError("--vary got an empty value list")
+    if axis not in SWEEP_AXES:
+        raise ParameterError(f"unknown sweep axis {axis!r}")
     variants = []
     for value in values:
         cfg = copy.deepcopy(config)
-        if axis in SWEEP_AXES:
-            _apply_set(cfg, f"{SWEEP_AXES[axis]}={value}")
-        elif axis == "policy":
-            cfg["policy"] = {"kind": value}
-        else:
-            raise ParameterError(f"unknown sweep axis {axis!r}")
+        _apply_set(cfg, f"{SWEEP_AXES[axis]}={value}")
         variants.append((f"{axis}-{value}", resolve_config(cfg)))
     return variants
 

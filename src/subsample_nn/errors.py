@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checked number conversion."""
 
 
 class SubsampleNNError(Exception):
@@ -11,6 +11,18 @@ class DimensionError(SubsampleNNError):
 
 class ParameterError(SubsampleNNError):
     """A parameter is outside its valid range."""
+
+
+def _number(path: str, number, value):
+    """value as an int or a float; an int setting takes no fractional value."""
+    try:
+        converted = number(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or (number is int and isinstance(value, float) and converted != value):
+        raise ParameterError(f"{path} must be {'an integer' if number is int else 'a number'}"
+                             f", got {value!r}")
+    return converted
 
 
 class FormatError(SubsampleNNError):

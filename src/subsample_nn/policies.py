@@ -14,20 +14,22 @@ work (hash probes, the skipped share of a mask-building product,
 sampling-probability norms), inside FLOPS.phase("policy_overhead"), so its
 FLOPs and seconds go to that phase and not to the caller's.
 
-A policy holds its configuration, its random stream and (ALSH) its index; a
-run's statistics go to the RunCounts record that train owns and passes to bind.
+A policy is a dataclass whose fields are exactly its config parameters, each
+converted on construction to its default's type; it also holds its random
+stream and (ALSH) its index. A run's statistics go to the RunCounts record
+that train owns and passes to bind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import alsh as alsh_mod
 from . import mc as mc_mod
 from . import nn
-from .errors import ParameterError
+from .errors import ParameterError, _number
 from .linalg import FLOPS, as_matrix, stream
 
 
@@ -58,10 +60,16 @@ class RunCounts:
     replaced_exact_flops: int = 0
 
 
+@dataclass(eq=False)
 class ComputePolicy:
     """Exact computation; base class that the sampling policies override."""
 
     name = "exact"
+
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, _number(f"policy.{f.name}", type(f.default),
+                                          getattr(self, f.name)))
 
     def bind(self, model: nn.MlpModel, seed: int, counts: RunCounts):
         """Attach to one training run, whose statistics go to counts."""
@@ -69,7 +77,7 @@ class ComputePolicy:
         self._counts = counts
 
     def describe(self) -> dict:
-        return {"kind": self.name}
+        return {"kind": self.name, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     # -- hooks -------------------------------------------------------------
 
@@ -96,19 +104,18 @@ class _ColumnPolicy(ComputePolicy):
         return nn.forward(model, x, lambda k, a: self._layer_mask(model, k, a))
 
 
+@dataclass(eq=False)
 class DropoutPolicy(_ColumnPolicy):
     """Uniform node selection with keep probability p_keep, inverted scaling
     at train time so inference needs none."""
 
     name = "dropout"
+    p_keep: float = 0.05
 
-    def __init__(self, p_keep=0.05):
-        if not 0.0 < p_keep <= 1.0:
-            raise ParameterError(f"p_keep must be in (0,1], got {p_keep}")
-        self.p_keep = float(p_keep)
-
-    def describe(self):
-        return {"kind": self.name, "p_keep": self.p_keep}
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.p_keep <= 1.0:
+            raise ParameterError(f"p_keep must be in (0,1], got {self.p_keep}")
 
     def _layer_mask(self, model, k, a_prev):
         width = model.layer_dims[k + 1]
@@ -116,6 +123,7 @@ class DropoutPolicy(_ColumnPolicy):
         return mask, 1.0 / self.p_keep, None
 
 
+@dataclass(eq=False)
 class AdaptiveDropoutPolicy(_ColumnPolicy):
     """Standout-style dropout: keep probabilities from the layer's own
     pre-activations (shared weights), sampled per node per sample.
@@ -126,13 +134,8 @@ class AdaptiveDropoutPolicy(_ColumnPolicy):
     """
 
     name = "adaptive_dropout"
-
-    def __init__(self, alpha=1.0, beta=0.0):
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-
-    def describe(self):
-        return {"kind": self.name, "alpha": self.alpha, "beta": self.beta}
+    alpha: float = 1.0
+    beta: float = 0.0
 
     def _layer_mask(self, model, k, a_prev):
         w, b = model.weights[k], model.biases[k]
@@ -145,10 +148,7 @@ class AdaptiveDropoutPolicy(_ColumnPolicy):
         return mask, scale, z
 
 
-# config name -> AlshParams field
-_ALSH_CONFIG_NAMES = {"K": "bits", "L": "tables", "m": "pad_terms", "C": "norm_bound"}
-
-
+@dataclass(eq=False)
 class AlshPolicy(_ColumnPolicy):
     """Active-node selection by asymmetric-LSH maximum inner-product search.
 
@@ -159,20 +159,15 @@ class AlshPolicy(_ColumnPolicy):
     """
 
     name = "alsh"
+    K: int = alsh_mod.AlshParams.bits
+    L: int = alsh_mod.AlshParams.tables
+    m: int = alsh_mod.AlshParams.pad_terms
+    C: float = alsh_mod.AlshParams.norm_bound
 
-    def __init__(self, params: alsh_mod.AlshParams | None = None):
-        self.params = params or alsh_mod.AlshParams()
+    def __post_init__(self):
+        super().__post_init__()
+        self.params = alsh_mod.AlshParams(self.K, self.L, self.m, self.C)
         self.indexes = []
-
-    @classmethod
-    def from_config(cls, **config):
-        """Build from the config names K, L, m, C."""
-        return cls(alsh_mod.AlshParams(**{_ALSH_CONFIG_NAMES[n]: v
-                                          for n, v in config.items()}))
-
-    def describe(self):
-        return {"kind": self.name, **{n: getattr(self.params, field)
-                                      for n, field in _ALSH_CONFIG_NAMES.items()}}
 
     def bind(self, model, seed, counts):
         super().bind(model, seed, counts)
@@ -206,6 +201,7 @@ class AlshPolicy(_ColumnPolicy):
     # inference would mask how concentrated the trained function really is
 
 
+@dataclass(eq=False)
 class McBackpropPolicy(ComputePolicy):
     """Exact forward; every backprop matrix product is Bernoulli-sampled.
 
@@ -217,14 +213,12 @@ class McBackpropPolicy(ComputePolicy):
     """
 
     name = "mc"
+    k_samples: int = 10
 
-    def __init__(self, k_samples=10):
-        if k_samples < 1:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.k_samples < 1:
             raise ParameterError("k_samples must be at least 1")
-        self.k_samples = int(k_samples)
-
-    def describe(self):
-        return {"kind": self.name, "k_samples": self.k_samples}
 
     def bind(self, model, seed, counts):
         for width in model.layer_dims[1:-1]:
@@ -249,24 +243,16 @@ class McBackpropPolicy(ComputePolicy):
         return nn.backward(model, trace, targets, self._sampled_product)
 
 
-# kind -> (constructor, accepted config parameters); defaults live in the
-# constructors and in AlshParams
-_POLICIES = {
-    "exact": (ComputePolicy, ()),
-    "dropout": (DropoutPolicy, ("p_keep",)),
-    "adaptive_dropout": (AdaptiveDropoutPolicy, ("alpha", "beta")),
-    "alsh": (AlshPolicy.from_config, tuple(_ALSH_CONFIG_NAMES)),
-    "mc": (McBackpropPolicy, ("k_samples",)),
-}
+_POLICIES = {cls.name: cls for cls in (ComputePolicy, DropoutPolicy, AdaptiveDropoutPolicy,
+                                       AlshPolicy, McBackpropPolicy)}
 
 
 def make_policy(kind: str, **params) -> ComputePolicy:
     """Config-level factory; unknown kinds or parameters raise ParameterError."""
-    kind = kind.lower()
-    if kind not in _POLICIES:
+    if not isinstance(kind, str) or kind not in _POLICIES:
         raise ParameterError(f"unknown policy kind {kind!r}")
-    build, names = _POLICIES[kind]
-    extra = set(params) - set(names)
+    cls = _POLICIES[kind]
+    extra = set(params) - {f.name for f in fields(cls)}
     if extra:
         raise ParameterError(f"unknown parameters for policy {kind!r}: {sorted(extra)}")
-    return build(**params)
+    return cls(**params)

@@ -331,7 +331,7 @@ def test_c06_gradient_correctness():
         toy = nn.MlpModel([6, 4, 3],
                           [cols.T.copy(), rng.standard_normal((4, 3)) * 0.3],
                           [np.zeros(4), np.zeros(3)])
-        alsh_policy = AlshPolicy(AlshParams(bits=1, tables=50))
+        alsh_policy = AlshPolicy(K=1, L=50)
         alsh_policy.bind(toy, 85, RunCounts())
         assert alsh_policy.forward(toy, base).masks[0].all(), "toy index must saturate"
         results["alsh(all-active)"] = _fd_max_rel_error(toy, alsh_policy, base, 1)

@@ -26,6 +26,17 @@ def blob_config(tmp_path):
     return path
 
 
+# the policy kind that takes each policy.* setting
+POLICY_OF = {"policy.p_keep": "dropout", "policy.alpha": "adaptive_dropout",
+             "policy.C": "alsh", "policy.K": "alsh", "policy.k_samples": "mc"}
+
+# how a setting's conversion error names its type
+WORDING = {"epochs": "an integer", "dataset.noise": "a number", "dataset.separation": "a number",
+           "dataset.n_features": "an integer", "policy.p_keep": "a number",
+           "policy.alpha": "a number", "policy.C": "a number", "policy.K": "an integer",
+           "policy.k_samples": "an integer"}
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -76,16 +87,13 @@ class TestTrain:
                     "--set", "policy.kind=dropout", "--set", "policy.p_keep=0"])
         assert code == 2
 
-    @pytest.mark.parametrize("setting", [
-        "epochs", "dataset.noise", "dataset.separation", "dataset.n_features", "policy.p_keep",
-        "policy.alpha", "policy.C", "policy.K", "policy.k_samples",
-    ])
+    @pytest.mark.parametrize("setting", list(WORDING))
     def test_non_numeric_setting_is_usage_error(self, blob_config, tmp_path, capsys, setting):
-        code = run(["train", "--config", str(blob_config),
-                    "--out", str(tmp_path / "x"), "--set", f"{setting}=abc"])
+        code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
+                    "--set", f"policy.kind={POLICY_OF.get(setting, 'exact')}",
+                    "--set", f"{setting}=abc"])
         assert code == 2
-        kind = "an integer" if cli.NUMERIC_SETTINGS[setting] is int else "a number"
-        assert f"error: {setting} must be {kind}, got 'abc'" in capsys.readouterr().err
+        assert f"error: {setting} must be {WORDING[setting]}, got 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting,value", [
         ("epochs", "1.5"), ("architecture.hidden_width", "32.9"), ("dataset.train_n", "100.5"),
@@ -94,11 +102,19 @@ class TestTrain:
     ])
     def test_fractional_integer_setting_is_usage_error(self, blob_config, tmp_path, capsys,
                                                        setting, value):
-        code = run(["train", "--config", str(blob_config),
-                    "--out", str(tmp_path / "x"), "--set", f"{setting}={value}"])
+        code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
+                    "--set", f"policy.kind={POLICY_OF.get(setting, 'exact')}",
+                    "--set", f"{setting}={value}"])
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {setting} must be an integer, got {float(value)!r}" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_policy_kind_is_an_exact_name(self, blob_config, tmp_path, capsys):
+        code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
+                    "--set", "policy.kind=MC"])
+        assert code == 2
+        assert "error: unknown policy kind 'MC'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_config_file_and_set_give_the_same_policy_parameter(self, tmp_path):
@@ -251,6 +267,26 @@ class TestSweep:
                     "--vary", "policy=exact,dropout"]) == 0
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["policy-exact", "policy-dropout"]
+
+    def test_policy_sweep_keeps_the_policy_settings(self, blob_config, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.THREADS_ENV, "1")
+        out = tmp_path / "policies"
+        assert run(["sweep", "--config", str(blob_config), "--out", str(out),
+                    "--vary", "policy=dropout", "--set", "policy.p_keep=0.5"]) == 0
+        summary = json.loads((out / "policy-dropout" / "summary.json").read_text())
+        assert summary["config"]["policy"] == {"kind": "dropout", "p_keep": 0.5}
+        assert summary["policy"] == {"kind": "dropout", "p_keep": 0.5}
+
+    def test_policy_sweep_checks_every_kind_before_any_run(self, blob_config, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.setenv(cli.THREADS_ENV, "1")
+        out = tmp_path / "policies"
+        code = run(["sweep", "--config", str(blob_config), "--out", str(out),
+                    "--vary", "policy=dropout,exact", "--set", "policy.p_keep=0.5"])
+        assert code == 2
+        assert ("error: unknown parameters for policy 'exact': ['p_keep']"
+                in capsys.readouterr().err)
+        assert not out.exists()  # the valid dropout variant never ran
 
     def test_non_numeric_thread_cap_is_usage_error(self, blob_config, tmp_path,
                                                     monkeypatch, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from subsample_nn import alsh, mc, nn
-from subsample_nn.alsh import AlshParams
 from subsample_nn.data import Dataset
 from subsample_nn.errors import ParameterError
 from subsample_nn.linalg import FLOPS, stream
@@ -194,7 +193,7 @@ class TestAdaptiveDropout:
 class TestAlshPolicy:
     def test_toy_saturation_is_exact_bitwise(self):
         model, base = near_parallel_columns_model()
-        policy = AlshPolicy(AlshParams(bits=1, tables=50))
+        policy = AlshPolicy(K=1, L=50)
         policy.bind(model, 11, RunCounts())
         trace = policy.forward(model, base)
         assert trace.masks[0].all()  # every column is active
@@ -210,7 +209,7 @@ class TestAlshPolicy:
                 mask[:, [0, 2]] = True
                 return mask, 1.0, None
 
-        policy = FixedMask(AlshParams())
+        policy = FixedMask()
         policy.bind(model, 0, RunCounts())
         x = stream(13, "x").standard_normal(5)
         trace = policy.forward(model, x)
@@ -223,7 +222,7 @@ class TestAlshPolicy:
 
     def test_empty_probe_falls_back_to_exact(self):
         model = nn.init_weights([5, 4, 3], seed=14)
-        policy = AlshPolicy(AlshParams())
+        policy = AlshPolicy()
         counts = RunCounts()
         policy.bind(model, 0, counts)
         policy.indexes[0].signatures[:] = -1  # no bucket id a query can match
@@ -258,7 +257,7 @@ class TestAlshPolicy:
     def test_inference_is_exact_forward(self, monkeypatch):
         # evaluation takes no policy: a bound hash policy is never queried
         model, base = near_parallel_columns_model(seed=1)
-        policy = AlshPolicy(AlshParams())
+        policy = AlshPolicy()
         policy.bind(model, 0, RunCounts())
         queries = []
         monkeypatch.setattr(alsh, "query_active", lambda *args: queries.append(args))
@@ -390,7 +389,41 @@ class TestFactory:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             make_policy("winner_take_all")
+        with pytest.raises(ParameterError):
+            make_policy(["mc"])  # a JSON list from --set policy.kind=[...]
 
     def test_unknown_parameter(self):
         with pytest.raises(ParameterError):
             make_policy("dropout", q_keep=0.5)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: make_policy("mc", k_samples=1.5), "policy.k_samples must be an integer"),
+        (lambda: make_policy("alsh", K=1.5), "policy.K must be an integer"),
+        (lambda: McBackpropPolicy(k_samples=1.5), "policy.k_samples must be an integer"),
+        (lambda: DropoutPolicy(p_keep="abc"), "policy.p_keep must be a number"),
+    ], ids=["make_policy-mc", "make_policy-alsh", "McBackpropPolicy", "DropoutPolicy"])
+    def test_library_path_converts_like_the_cli(self, build, message):
+        with pytest.raises(ParameterError, match=message):
+            build()
+
+    def test_numeric_string_parameter_is_converted(self):
+        assert make_policy("alsh", K="4").params.bits == 4
+
+    @pytest.mark.parametrize("kind,params,described", [
+        ("exact", {}, {"kind": "exact"}),
+        ("dropout", {}, {"kind": "dropout", "p_keep": 0.05}),
+        ("dropout", {"p_keep": 0.5}, {"kind": "dropout", "p_keep": 0.5}),
+        ("adaptive_dropout", {}, {"kind": "adaptive_dropout", "alpha": 1.0, "beta": 0.0}),
+        ("adaptive_dropout", {"alpha": 2, "beta": -1},
+         {"kind": "adaptive_dropout", "alpha": 2.0, "beta": -1.0}),
+        ("alsh", {}, {"kind": "alsh", "K": 6, "L": 5, "m": 3, "C": 0.83}),
+        ("alsh", {"K": 4, "L": 7, "m": 2, "C": 0.5},
+         {"kind": "alsh", "K": 4, "L": 7, "m": 2, "C": 0.5}),
+        ("mc", {}, {"kind": "mc", "k_samples": 10}),
+        ("mc", {"k_samples": 3}, {"kind": "mc", "k_samples": 3}),
+    ])
+    def test_describe(self, kind, params, described):
+        got = make_policy(kind, **params).describe()
+        assert got == described
+        assert list(got) == list(described)
+        assert [type(v) for v in got.values()] == [type(v) for v in described.values()]
