@@ -1,13 +1,14 @@
 """Executable verification of the error-propagation theory, plus run metrics.
 
-The error analysis works on purely linear networks. For a node j of layer k
-with active input set S, the masked chain drops the contributions of inputs
-outside S; the resulting activation error obeys the recursion
+The error analysis works on purely linear networks. Layer k's active inputs
+are a boolean keep mask M[k] with the shape of W[k], (fan_in, fan_out): entry
+(i, j) is True where input i of node j is active. The masked chain drops the
+terms outside the mask, and its activation error e obeys the recursion
 
-    e[1][j] = sum_{i not in S} x[i] W[1][i, j]
-    e[k][j] = e[k-1] . W[k][:, j] + sum_{i not in S} abar[k-1][i] W[k][i, j]
+    abar[k] = abar[k-1] @ where(M[k], W[k], 0) + b[k]
+    e[k] = e[k-1] @ W[k] + abar[k-1] @ where(M[k], 0, W[k])
 
-where abar is the masked activation. When every node's active contribution is
+with abar[0] = x and e[0] = 0. When every node's active contribution is
 exactly c times its inactive contribution, the exact and masked activations
 satisfy a[k] = abar[k] * ((c+1)/c)^k, so the error-to-estimate ratio grows as
 ((c+1)/c)^k - 1: exponentially in depth.
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError
+from .errors import DimensionError, ParameterError, PreconditionError
 from .linalg import stream
 from .nn import MlpModel, forward
 
@@ -49,64 +50,43 @@ def _require_linear(model: MlpModel):
         raise PreconditionError("error analysis is defined for linear activations only")
 
 
-def _masked_linear_forward(model, x, active_sets):
-    """Masked chain: node j of layer k sums only its active input indices.
-
-    active_sets[k-1][j] lists the active input indices of node j in layer k.
-    Biases are included in both chains; they cancel in the error.
-    """
-    abar = [np.asarray(x, dtype=np.float64)]
-    for k in range(model.n_layers):
-        w, b = model.weights[k], model.biases[k]
-        out = np.empty(w.shape[1])
-        for j in range(w.shape[1]):
-            active = active_sets[k][j]
-            out[j] = abar[-1][active] @ w[active, j] + b[j]
-        abar.append(out)
-    return abar
-
-
-def _exact_linear_forward(model, x):
-    a = [np.asarray(x, dtype=np.float64)]
-    for k in range(model.n_layers):
-        a.append(a[-1] @ model.weights[k] + model.biases[k])
-    return a
-
-
 def lemma1_error(model: MlpModel, x, active_sets) -> LayerErrorProfile:
-    """Measure masked-forward errors and re-derive them through the recursion."""
+    """Measure masked-forward errors and re-derive them through the recursion.
+
+    active_sets[k-1] is layer k's keep mask. Biases are included in both
+    chains; they cancel in the error.
+    """
     _require_linear(model)
     if len(active_sets) != model.n_layers:
-        raise ParameterError("need one active-set list per layer")
-    exact = _exact_linear_forward(model, x)
-    approx = _masked_linear_forward(model, x, active_sets)
-
-    direct = [exact[k] - approx[k] for k in range(1, model.n_layers + 1)]
-    recursion = []
-    for k in range(model.n_layers):
-        w = model.weights[k]
-        e = np.empty(w.shape[1])
-        prev_err = recursion[k - 1] if k > 0 else None
-        for j in range(w.shape[1]):
-            inactive = np.setdiff1d(np.arange(w.shape[0]), active_sets[k][j])
-            omitted = approx[k][inactive] @ w[inactive, j]
-            e[j] = omitted if k == 0 else prev_err @ w[:, j] + omitted
+        raise ParameterError("need one keep mask per layer")
+    a = abar = np.asarray(x, dtype=np.float64)
+    e = np.zeros_like(a)
+    exact, approx, recursion = [], [], []
+    for w, b, mask in zip(model.weights, model.biases, active_sets):
+        if np.shape(mask) != w.shape:
+            raise DimensionError(f"keep mask shape {np.shape(mask)} != weight shape {w.shape}")
+        e = e @ w + abar @ np.where(mask, 0.0, w)
+        a = a @ w + b
+        abar = abar @ np.where(mask, w, 0.0) + b
+        exact.append(a)
+        approx.append(abar)
         recursion.append(e)
-    return LayerErrorProfile(exact[1:], approx[1:], direct, recursion)
+    direct = [a_k - abar_k for a_k, abar_k in zip(exact, approx)]
+    return LayerErrorProfile(exact, approx, direct, recursion)
 
 
 def random_active_sets(model: MlpModel, seed, keep_fraction=0.6):
-    """Random per-node active input subsets; every node keeps at least one input."""
+    """Random per-layer keep masks; every node keeps at least one input."""
     rng = stream(seed, "active-sets")
-    sets = []
+    masks = []
     for w in model.weights:
-        fan_in = w.shape[0]
-        layer = []
-        for _ in range(w.shape[1]):
-            size = max(1, int(round(keep_fraction * fan_in)))
-            layer.append(np.sort(rng.choice(fan_in, size=size, replace=False)))
-        sets.append(layer)
-    return sets
+        fan_in, fan_out = w.shape
+        size = max(1, int(round(keep_fraction * fan_in)))
+        mask = np.zeros(w.shape, dtype=bool)
+        for j in range(fan_out):
+            mask[rng.choice(fan_in, size=size, replace=False), j] = True
+        masks.append(mask)
+    return masks
 
 
 def build_theorem1_network(c: int, depth: int, width: int):
@@ -114,8 +94,8 @@ def build_theorem1_network(c: int, depth: int, width: int):
 
     Every layer is width x width with equal weights 1/width and the input is
     all ones, so each node receives `width` equal contributions; keeping the
-    first c*width/(c+1) of them makes the active/inactive ratio exactly c at
-    every node of every layer.
+    first c*width/(c+1) inputs of every node makes the active/inactive ratio
+    exactly c at every node of every layer.
     """
     if c < 1:
         raise ParameterError("c must be a positive integer")
@@ -127,10 +107,9 @@ def build_theorem1_network(c: int, depth: int, width: int):
     weights = [np.full((width, width), 1.0 / width) for _ in range(depth)]
     biases = [np.zeros(width) for _ in range(depth)]
     model = MlpModel(dims, weights, biases, hidden_activation="linear")
-    n_active = width * c // (c + 1)
-    active = np.arange(n_active)
-    active_sets = [[active for _ in range(width)] for _ in range(depth)]
-    return model, active_sets
+    mask = np.zeros((width, width), dtype=bool)
+    mask[: width * c // (c + 1)] = True
+    return model, [mask.copy() for _ in range(depth)]
 
 
 def theorem1_check(model: MlpModel, active_sets, c: int):
@@ -232,36 +211,29 @@ class TrainReport:
         return summary
 
 
-def write_timing_csv(report: TrainReport, path):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "phase", "seconds", "flops"])
-        for phase, flops in report.phase_flops.items():
-            writer.writerow(["all", phase, repr(report.phase_seconds[phase]), flops])
-        writer.writerow(["all", "total", repr(report.total_seconds), report.total_flops])
+        csv.writer(f).writerows([header, *rows])
+
+
+def write_timing_csv(report: TrainReport, path):
+    rows = [["all", phase, repr(report.phase_seconds[phase]), flops]
+            for phase, flops in report.phase_flops.items()]
+    rows.append(["all", "total", repr(report.total_seconds), report.total_flops])
+    _write_csv(path, ["epoch", "phase", "seconds", "flops"], rows)
 
 
 def write_confusion_csv(cm_rows, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["true", "pred", "count"])
-        for t, row in enumerate(cm_rows):
-            for p, count in enumerate(row):
-                writer.writerow([t, p, int(count)])
+    _write_csv(path, ["true", "pred", "count"],
+               ([t, p, int(count)] for t, row in enumerate(cm_rows) for p, count in enumerate(row)))
 
 
 def write_labels_csv(report: TrainReport, path):
     total = sum(report.label_histogram) or 1
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["label", "predicted_count", "ratio"])
-        for lab, count in enumerate(report.label_histogram):
-            writer.writerow([lab, int(count), repr(count / total)])
+    _write_csv(path, ["label", "predicted_count", "ratio"],
+               ([lab, int(count), repr(count / total)]
+                for lab, count in enumerate(report.label_histogram)))
 
 
 def write_ratio_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k", "ratio"])
-        for row in rows:
-            writer.writerow([row["k"], repr(row["ratio"])])
+    _write_csv(path, ["k", "ratio"], ([row["k"], repr(row["ratio"])] for row in rows))

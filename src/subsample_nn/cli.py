@@ -55,13 +55,10 @@ DEFAULT_CONFIG = {
 DEFAULT_SPLIT = {"train_n": 5000, "test_n": 1000, "val_n": 1000}
 IDX_DEFAULT_SPLIT = {"train_n": 55000, "test_n": 10000, "val_n": 5000}
 
-# settings read as numbers, by their --set path (a policy converts its own)
-NUMERIC_SETTINGS = {"seed": int, "epochs": int, "batch_size": int,
-                    "optimizer.learning_rate": float, "architecture.hidden_layers": int,
-                    "architecture.hidden_width": int, "dataset.train_n": int,
-                    "dataset.test_n": int, "dataset.val_n": int, "dataset.noise": float,
-                    "dataset.n_features": int, "dataset.n_classes": int,
-                    "dataset.separation": float}
+# types of the numeric settings whose default is null, by their --set path; a
+# setting whose default is a number takes its default's type
+NULL_DEFAULT_NUMBERS = {"batch_size": int, "optimizer.learning_rate": float,
+                        "dataset.train_n": int, "dataset.test_n": int, "dataset.val_n": int}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -101,22 +98,34 @@ def load_config(path=None, sets=()) -> dict:
     return config
 
 
+def _convert_settings(config: dict, defaults: dict, prefix=""):
+    """Check that DEFAULT_CONFIG names every setting and that every section is
+    one, and convert the numeric settings in place; the policy's constructor
+    checks and converts the policy section."""
+    for key, value in config.items():
+        path = prefix + key
+        if key not in defaults:
+            raise ParameterError(f"unknown setting {path!r}")
+        number = NULL_DEFAULT_NUMBERS.get(path, type(defaults[key]))
+        if number is dict:
+            if not isinstance(value, dict):
+                raise ParameterError(f"{path} must be a section, got {value!r}")
+            if key != "policy":
+                _convert_settings(value, defaults[key], path + ".")
+        elif number in (int, float) and not (value is None and defaults[key] is None):
+            config[key] = _number(path, number, value)  # a null default is filled below
+
+
 def resolve_config(config: dict) -> dict:
-    """Convert the numeric settings, and the policy section by building the
+    """Check and convert the settings, the policy section by building the
     policy, then fill the defaults that depend on other settings: split sizes,
     batch size and learning rate. Runs on the merged config, so a setting has
     the same effect from a config file and from --set."""
-    config = copy.deepcopy(config)
-    for path, number in NUMERIC_SETTINGS.items():
-        *section, key = path.split(".")
-        node = config[section[0]] if section else config
-        defaults = DEFAULT_CONFIG[section[0]] if section else DEFAULT_CONFIG
-        if node[key] is None and defaults[key] is None:
-            continue  # null where a default is filled below
-        node[key] = _number(path, number, node[key])
-    policy_cfg = dict(config["policy"])
-    policy = make_policy(policy_cfg.pop("kind", "exact"), **policy_cfg)
-    config["policy"].update({key: getattr(policy, key) for key in policy_cfg})
+    config = _merge(DEFAULT_CONFIG, config)
+    _convert_settings(config, DEFAULT_CONFIG)
+    policy_cfg = config["policy"]
+    policy = make_policy(**policy_cfg)
+    policy_cfg.update({key: getattr(policy, key) for key in policy_cfg if key != "kind"})
     ds_cfg = config["dataset"]
     split_defaults = IDX_DEFAULT_SPLIT if ds_cfg.get("kind") == "idx" else DEFAULT_SPLIT
     for key, value in split_defaults.items():
@@ -153,8 +162,7 @@ def run_training(config: dict, out_dir: Path) -> analysis.TrainReport:
     config = resolve_config(config)
     seed = config["seed"]
     # validate policy/optimizer/shape parameters before any data is touched
-    policy_cfg = dict(config["policy"])
-    policy = make_policy(policy_cfg.pop("kind", "exact"), **policy_cfg)
+    policy = make_policy(**config["policy"])
     optimizer = Optimizer(kind=config["optimizer"]["kind"],
                           learning_rate=config["optimizer"]["learning_rate"])
     if config["epochs"] < 0 or config["batch_size"] < 1:

@@ -14,9 +14,10 @@ class ParameterError(SubsampleNNError):
 
 
 def _number(path: str, number, value):
-    """value as an int or a float; an int setting takes no fractional value."""
+    """value as an int or a float; an int setting takes no fractional value
+    and no setting takes a boolean."""
     try:
-        converted = number(value)
+        converted = None if isinstance(value, bool) else number(value)
     except (TypeError, ValueError, OverflowError):
         converted = None
     if converted is None or (number is int and isinstance(value, float) and converted != value):

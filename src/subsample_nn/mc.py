@@ -95,18 +95,12 @@ def optimal_probs_bernoulli(a, b, k) -> np.ndarray:
     free = w > 0
     budget = float(min(k, int(free.sum())))
     while budget > 0 and free.any():
-        if free.all():  # w[free] is w: same values, same summation order
-            trial = budget * w / w.sum()
-            clipped = trial >= 1.0
-            if not clipped.any():
-                return trial
-        else:
-            trial = w * 0.0
-            trial[free] = budget * w[free] / w[free].sum()
-            clipped = free & (trial >= 1.0)
-            if not clipped.any():
-                probs[free] = trial[free]
-                break
+        trial = w * 0.0
+        trial[free] = budget * w[free] / w[free].sum()
+        clipped = free & (trial >= 1.0)
+        if not clipped.any():
+            probs[free] = trial[free]
+            break
         probs[clipped] = 1.0
         budget -= int(clipped.sum())
         free &= ~clipped

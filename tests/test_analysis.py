@@ -7,7 +7,7 @@ from subsample_nn.analysis import (RATIO_TABLE_C5, ConfusionMatrix,
                                    label_concentration, lemma1_error,
                                    random_active_sets, theorem1_check)
 from subsample_nn.data import synth_blobs
-from subsample_nn.errors import ParameterError, PreconditionError
+from subsample_nn.errors import DimensionError, ParameterError, PreconditionError
 from subsample_nn.linalg import stream
 
 
@@ -18,7 +18,7 @@ def linear_model(dims, seed):
 
 
 def all_active_sets(model):
-    return [[np.arange(w.shape[0]) for _ in range(w.shape[1])] for w in model.weights]
+    return [np.ones(w.shape, dtype=bool) for w in model.weights]
 
 
 class TestLemmaRecursion:
@@ -33,9 +33,9 @@ class TestLemmaRecursion:
         model = linear_model([6, 4], seed=1)
         x = stream(2, "x").standard_normal(6)
         omitted = [1, 4]
-        active = np.setdiff1d(np.arange(6), omitted)
-        sets = [[active for _ in range(4)]]
-        profile = lemma1_error(model, x, sets)
+        mask = np.ones((6, 4), dtype=bool)
+        mask[omitted] = False
+        profile = lemma1_error(model, x, [mask])
         expected = x[omitted] @ model.weights[0][omitted, :]
         np.testing.assert_allclose(profile.direct[0], expected, atol=1e-12)
 
@@ -53,6 +53,32 @@ class TestLemmaRecursion:
                 scale = max(np.abs(direct).max(), 1.0)
                 assert np.abs(direct - rec).max() <= 1e-10 * scale
 
+    def test_dropped_node_error_is_its_pre_bias_activation(self):
+        # a node whose mask column is all False keeps only its bias, so its
+        # direct error is the exact activation minus the bias
+        model = linear_model([5, 4, 3], seed=4)
+        for k, b in enumerate(model.biases):
+            b[:] = stream(5, "b", k).standard_normal(b.shape)
+        x = stream(6, "x").standard_normal(5)
+        masks = all_active_sets(model)
+        masks[0][:, 2] = False
+        masks[1][:, 0] = False
+        profile = lemma1_error(model, x, masks)
+        hidden = x @ model.weights[0] + model.biases[0]
+        np.testing.assert_allclose(profile.direct[0][2], (x @ model.weights[0])[2], rtol=1e-12)
+        np.testing.assert_allclose(profile.direct[1][0], (hidden @ model.weights[1])[0],
+                                   rtol=1e-12)
+        assert profile.approx[0][2] == model.biases[0][2]
+        np.testing.assert_allclose(profile.direct[0][[0, 1, 3]], 0.0, atol=1e-14)
+        for direct, rec in zip(profile.direct, profile.recursion):
+            np.testing.assert_allclose(rec, direct, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 6), (6, 4, 1)])
+    def test_misshapen_mask_rejected(self, shape):
+        model = linear_model([6, 4], seed=1)
+        with pytest.raises(DimensionError, match=r"keep mask shape"):
+            lemma1_error(model, np.ones(6), [np.ones(shape, dtype=bool)])
+
     def test_nonlinear_rejected(self):
         model = nn.init_weights([3, 4, 2], seed=0)  # relu
         with pytest.raises(PreconditionError):
@@ -62,7 +88,7 @@ class TestLemmaRecursion:
 class TestRatioFixture:
     def test_five_of_six_active(self):
         model, sets = build_theorem1_network(c=5, depth=3, width=6)
-        assert all(len(s) == 5 for layer in sets for s in layer)
+        assert all(mask.shape == (6, 6) and (mask.sum(axis=0) == 5).all() for mask in sets)
 
     def test_ratio_assumption_holds_exactly(self):
         model, sets = build_theorem1_network(c=5, depth=4, width=12)
@@ -70,9 +96,8 @@ class TestRatioFixture:
         for k in range(model.n_layers):
             w = model.weights[k]
             for j in range(w.shape[1]):
-                active = sets[k][j]
-                inactive = np.setdiff1d(np.arange(w.shape[0]), active)
-                ratio = (a[active] @ w[active, j]) / (a[inactive] @ w[inactive, j])
+                active = sets[k][:, j]
+                ratio = (a[active] @ w[active, j]) / (a[~active] @ w[~active, j])
                 assert abs(ratio - 5.0) <= 1e-12
             a = a @ w + model.biases[k]
 

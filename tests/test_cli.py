@@ -110,6 +110,47 @@ class TestTrain:
         assert f"error: {setting} must be an integer, got {float(value)!r}" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("assignment,message", [
+        ("epoch=5", "unknown setting 'epoch'"),
+        ("architecture.hidden_widht=64", "unknown setting 'architecture.hidden_widht'"),
+        ("optimizer.lr=0.5", "unknown setting 'optimizer.lr'"),
+        ("dataset.train=100", "unknown setting 'dataset.train'"),
+        ("architecture=3", "architecture must be a section, got 3"),
+        ("policy=mc", "policy must be a section, got 'mc'"),
+    ])
+    def test_unknown_setting_or_scalar_section_is_usage_error(self, blob_config, tmp_path,
+                                                               capsys, assignment, message):
+        code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
+                    "--set", assignment])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_setting_in_a_config_file_is_usage_error(self, blob_config, tmp_path,
+                                                              capsys):
+        config = json.loads(blob_config.read_text())
+        config["architecture"]["hidden_widht"] = 64
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(config))
+        code = run(["train", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: unknown setting 'architecture.hidden_widht'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("setting,value,wording", [
+        ("epochs", "true", "an integer, got True"),
+        ("policy.K", "true", "an integer, got True"),
+        ("dataset.noise", "false", "a number, got False"),
+    ])
+    def test_boolean_setting_is_usage_error(self, blob_config, tmp_path, capsys, setting,
+                                            value, wording):
+        code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
+                    "--set", f"policy.kind={POLICY_OF.get(setting, 'exact')}",
+                    "--set", f"{setting}={value}"])
+        assert code == 2
+        assert f"error: {setting} must be {wording}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_policy_kind_is_an_exact_name(self, blob_config, tmp_path, capsys):
         code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
                     "--set", "policy.kind=MC"])

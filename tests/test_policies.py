@@ -401,7 +401,10 @@ class TestFactory:
         (lambda: make_policy("alsh", K=1.5), "policy.K must be an integer"),
         (lambda: McBackpropPolicy(k_samples=1.5), "policy.k_samples must be an integer"),
         (lambda: DropoutPolicy(p_keep="abc"), "policy.p_keep must be a number"),
-    ], ids=["make_policy-mc", "make_policy-alsh", "McBackpropPolicy", "DropoutPolicy"])
+        (lambda: make_policy("alsh", K=True), "policy.K must be an integer"),
+        (lambda: DropoutPolicy(p_keep=True), "policy.p_keep must be a number"),
+    ], ids=["make_policy-mc", "make_policy-alsh", "McBackpropPolicy", "DropoutPolicy",
+            "make_policy-alsh-boolean", "DropoutPolicy-boolean"])
     def test_library_path_converts_like_the_cli(self, build, message):
         with pytest.raises(ParameterError, match=message):
             build()
