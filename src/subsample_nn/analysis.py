@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, PreconditionError
 from .linalg import stream
-from .nn import MlpModel, forward
+from .nn import MlpModel, _as_batch, forward
 
+PREDICT_ROWS = 256  # rows per forward in predict: bounds its activations' memory
 RATIO_TABLE_C5 = [0.2, 0.44, 0.72, 1.07, 1.48, 1.98]  # reference rounding for c=5
 
 
@@ -156,8 +157,15 @@ class ConfusionMatrix:
 
 
 def predict(model: MlpModel, features) -> np.ndarray:
-    """Argmax labels of the exact network: prediction never samples."""
-    return np.argmax(forward(model, features).output, axis=1)
+    """Argmax labels of the exact network: prediction never samples.
+
+    The forward runs on views of PREDICT_ROWS rows of features at a time, so
+    the activations it keeps are PREDICT_ROWS rows deep whatever the set's
+    size; the labels are one new array. An empty set runs one empty block.
+    """
+    x = _as_batch(features, model.n_inputs)
+    return np.concatenate([np.argmax(forward(model, x[lo : lo + PREDICT_ROWS]).output, axis=1)
+                           for lo in range(0, max(len(x), 1), PREDICT_ROWS)])
 
 
 def confusion(model: MlpModel, dataset) -> ConfusionMatrix:

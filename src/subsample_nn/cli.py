@@ -25,7 +25,7 @@ from . import analysis, data, mc
 from .errors import ParameterError, SubsampleNNError, _number
 from .linalg import stream
 from .nn import Optimizer, init_weights, save_checkpoint, usable_cpus
-from .policies import make_policy
+from .policies import ComputePolicy, make_policy
 from .train import train
 
 THREADS_ENV = "SUBSAMPLE_NN_THREADS"
@@ -121,6 +121,11 @@ def resolve_config(config: dict) -> dict:
     policy, then fill the defaults that depend on other settings: split sizes,
     batch size and learning rate. Runs on the merged config, so a setting has
     the same effect from a config file and from --set."""
+    return _resolve(config)[0]
+
+
+def _resolve(config: dict) -> tuple[dict, ComputePolicy]:
+    """resolve_config, also returning the policy it built."""
     config = _merge(DEFAULT_CONFIG, config)
     _convert_settings(config, DEFAULT_CONFIG)
     policy_cfg = config["policy"]
@@ -136,10 +141,13 @@ def resolve_config(config: dict) -> dict:
     if config["optimizer"].get("learning_rate") is None:
         sgd_mc = policy.name == "mc" and config["batch_size"] == 1
         config["optimizer"]["learning_rate"] = 1e-4 if sgd_mc else 1e-3
-    return config
+    return config, policy
 
 
 def build_dataset(cfg: dict, seed: int) -> data.Split:
+    """Build or load the configured dataset and split it in place: train, test
+    and validation are views of one buffer, which holds only the rows the
+    split uses."""
     ds_cfg = cfg["dataset"]
     kind = ds_cfg["kind"]
     train_n, test_n, val_n = ds_cfg["train_n"], ds_cfg["test_n"], ds_cfg["val_n"]
@@ -155,14 +163,12 @@ def build_dataset(cfg: dict, seed: int) -> data.Split:
                               ds_cfg["separation"], seed=seed)
     else:
         raise ParameterError(f"unknown dataset kind {kind!r}")
-    return data.split(ds, train_n, test_n, val_n, seed)
+    return data.split_in_place(ds, train_n, test_n, val_n, seed)
 
 
 def run_training(config: dict, out_dir: Path) -> analysis.TrainReport:
-    config = resolve_config(config)
+    config, policy = _resolve(config)
     seed = config["seed"]
-    # validate policy/optimizer/shape parameters before any data is touched
-    policy = make_policy(**config["policy"])
     optimizer = Optimizer(kind=config["optimizer"]["kind"],
                           learning_rate=config["optimizer"]["learning_rate"])
     if config["epochs"] < 0 or config["batch_size"] < 1:

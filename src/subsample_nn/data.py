@@ -41,10 +41,6 @@ class Dataset:
     def __len__(self):
         return self.features.shape[0]
 
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], self.n_classes)
-
 
 @dataclass(frozen=True)
 class Split:
@@ -89,7 +85,8 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{labels_path}: label count {label_count} at byte 4 does not match image count {count}"
         )
 
-    features = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
+    features = pixels.astype(np.float64).reshape(count, rows * cols)
+    features /= 255.0  # in place: the same division, without a second copy
     n_classes = int(labels.max()) + 1 if count else 0
     return Dataset(features, labels, n_classes)
 
@@ -108,17 +105,58 @@ def write_idx(ds: Dataset, images_path, labels_path, rows=28, cols=28):
 
 
 def split(ds: Dataset, train_n: int, test_n: int, val_n: int, seed: int) -> Split:
-    """Deterministic shuffle by seed, then partition into train/test/validation."""
+    """Deterministic shuffle by seed, then partition into train/test/validation.
+
+    ds is left unchanged: this copies its arrays and runs split_in_place on the
+    copy, so the three parts are views of one new buffer.
+    """
+    return split_in_place(Dataset(ds.features.copy(), ds.labels.copy(), ds.n_classes),
+                          train_n, test_n, val_n, seed)
+
+
+def split_in_place(ds: Dataset, train_n: int, test_n: int, val_n: int, seed: int) -> Split:
+    """split for a caller that gives up ds: the same parts, without copying.
+
+    When the sizes add up to len(ds), ds's rows are permuted in place and the
+    parts are views of its arrays. Otherwise the used rows are gathered into
+    one new buffer, of which the parts are views, and ds's arrays are left as
+    they were.
+    """
     total = train_n + test_n + val_n
     if min(train_n, test_n, val_n) < 0:
         raise ParameterError("split sizes must be non-negative")
     if total > len(ds):
         raise ParameterError(f"requested {total} samples but dataset has {len(ds)}")
     order = stream(seed, "split").permutation(len(ds))
-    train_idx = order[:train_n]
-    test_idx = order[train_n : train_n + test_n]
-    val_idx = order[train_n + test_n : total]
-    return Split(ds.subset(train_idx), ds.subset(val_idx), ds.subset(test_idx))
+    if total < len(ds):
+        features, labels = ds.features[order[:total]], ds.labels[order[:total]]
+    else:
+        features, labels = ds.features, ds.labels
+        _permute_rows(features, order)
+        labels[:] = labels[order]
+
+    def part(lo, hi):
+        return Dataset(features[lo:hi], labels[lo:hi], ds.n_classes)
+
+    return Split(part(0, train_n), part(train_n + test_n, total), part(train_n, train_n + test_n))
+
+
+def _permute_rows(rows: np.ndarray, order: np.ndarray):
+    """rows[i] = rows[order[i]] for every i, in place: each cycle of the
+    permutation is walked with one row buffer."""
+    order = order.tolist()
+    done = bytearray(len(order))
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        held = rows[start].copy()
+        i = start
+        while order[i] != start:
+            rows[i] = rows[order[i]]
+            done[i] = 1
+            i = order[i]
+        rows[i] = held
+        done[i] = 1
 
 
 def synth_blobs(n_samples, n_features, n_classes, separation, seed) -> Dataset:

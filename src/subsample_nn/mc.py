@@ -92,18 +92,18 @@ def optimal_probs_bernoulli(a, b, k) -> np.ndarray:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
     w = _norm_products(a, b)
     probs = np.zeros(n)
-    free = w > 0
-    budget = float(min(k, int(free.sum())))
-    while budget > 0 and free.any():
-        trial = w * 0.0
-        trial[free] = budget * w[free] / w[free].sum()
-        clipped = free & (trial >= 1.0)
+    free = np.flatnonzero(w > 0)
+    wf = w[free]  # the weights of the free indices, in index order
+    budget = float(min(k, free.size))
+    while budget > 0 and free.size:
+        trial = budget * wf / wf.sum()
+        clipped = trial >= 1.0
         if not clipped.any():
-            probs[free] = trial[free]
+            probs[free] = trial
             break
-        probs[clipped] = 1.0
+        probs[free[clipped]] = 1.0
         budget -= int(clipped.sum())
-        free &= ~clipped
+        free, wf = free[~clipped], wf[~clipped]
     return probs
 
 

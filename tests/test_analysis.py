@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from subsample_nn import nn
-from subsample_nn.analysis import (RATIO_TABLE_C5, ConfusionMatrix,
+from subsample_nn.analysis import (PREDICT_ROWS, RATIO_TABLE_C5, ConfusionMatrix,
                                    build_theorem1_network, confusion,
-                                   label_concentration, lemma1_error,
+                                   label_concentration, lemma1_error, predict,
                                    random_active_sets, theorem1_check)
 from subsample_nn.data import synth_blobs
 from subsample_nn.errors import DimensionError, ParameterError, PreconditionError
-from subsample_nn.linalg import stream
+from subsample_nn.linalg import FLOPS, stream
 
 
 def linear_model(dims, seed):
@@ -170,6 +170,27 @@ class TestConfusion:
         preds = np.argmax(nn.forward(model, ds.features).output, axis=1)
         assert cm.accuracy == (preds == ds.labels).mean()
         assert cm.total == len(ds)
+
+
+class TestPredict:
+    @pytest.mark.parametrize("rows", [0, 1, PREDICT_ROWS - 1, PREDICT_ROWS, PREDICT_ROWS + 1,
+                                      2 * PREDICT_ROWS + 3])
+    def test_equals_the_whole_batch_argmax(self, rows):
+        model = nn.init_weights([6, 16, 16, 5], seed=9)
+        x = stream(10, "predict-x").standard_normal((rows, 6))
+        labels = predict(model, x)
+        assert labels.shape == (rows,)
+        np.testing.assert_array_equal(labels, np.argmax(nn.forward(model, x).output, axis=1))
+
+    def test_blocks_charge_the_whole_batch_flops(self):
+        model = nn.init_weights([6, 16, 16, 5], seed=9)
+        x = stream(10, "predict-x").standard_normal((2 * PREDICT_ROWS + 3, 6))
+        with FLOPS.phase("whole"):
+            nn.forward(model, x)
+        with FLOPS.phase("blocks"):
+            predict(model, x)
+        flops = FLOPS.take()[0]
+        assert flops["blocks"] == flops["whole"] == 2 * len(x) * (6 * 16 + 16 * 16 + 16 * 5)
 
 
 class TestLabelConcentration:

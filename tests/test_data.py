@@ -81,6 +81,12 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="count"):
             load_idx(img_path, lab_path)
 
+    def test_scaling_matches_division_bytewise(self, tmp_path):
+        pixels = stream(4, "idx-pixels").integers(0, 256, size=(50, 28, 28)).astype(np.uint8)
+        ds = load_idx(*write_fixture_idx(tmp_path, pixels, [0] * 50))
+        expected = pixels.reshape(50, 784).astype(np.float64) / 255.0
+        assert ds.features.tobytes() == expected.tobytes()
+
     def test_write_then_load_identity(self, tmp_path):
         ds = synth_digits(30, seed=5)
         img, lab = tmp_path / "w.idx", tmp_path / "wl.idx"
@@ -116,6 +122,35 @@ class TestSplit:
         original = ds.features[np.lexsort(ds.features.T)]
         recovered = merged[np.lexsort(merged.T)]
         np.testing.assert_array_equal(original, recovered)
+
+    def test_dataset_left_unchanged(self):
+        ds = self.make_ds()
+        features, labels = ds.features.copy(), ds.labels.copy()
+        split(ds, 50, 30, 20, seed=7)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("sizes", [(60, 25, 15), (30, 12, 8), (0, 100, 0), (0, 0, 0)])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_parts_are_the_permutation_prefix(self, sizes, in_place):
+        # the parts the parent commit gathered with one fancy index per part
+        ds = self.make_ds(100)
+        train_n, test_n, val_n = sizes
+        order = stream(5, "split").permutation(100)
+        bounds = {"train": (0, train_n), "test": (train_n, train_n + test_n),
+                  "validation": (train_n + test_n, sum(sizes))}
+        expected = {name: (ds.features[order[lo:hi]], ds.labels[order[lo:hi]])
+                    for name, (lo, hi) in bounds.items()}
+        if in_place:
+            sp = data.split_in_place(Dataset(ds.features.copy(), ds.labels.copy(), 4),
+                                     *sizes, seed=5)
+        else:
+            sp = split(ds, *sizes, seed=5)
+        for name, (features, labels) in expected.items():
+            part = getattr(sp, name)
+            assert part.features.tobytes() == features.tobytes(), name
+            assert part.labels.tobytes() == labels.tobytes(), name
+            assert part.n_classes == 4
 
     def test_sizes_exceed_dataset(self):
         with pytest.raises(ParameterError):

@@ -1,0 +1,70 @@
+"""Memory bounds of the data path and of evaluation, measured with tracemalloc,
+which numpy reports its array buffers to."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from subsample_nn import cli, nn
+from subsample_nn.analysis import PREDICT_ROWS, confusion
+from subsample_nn.data import Dataset, synth_digits, write_idx
+
+
+@pytest.fixture
+def traced():
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+def transient_peak(fn, *args):
+    """Bytes fn allocates at its peak beyond what was live when it was called,
+    and its result."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    result = fn(*args)
+    return tracemalloc.get_traced_memory()[1] - base, result
+
+
+def dataset_config(tmp_path, kind):
+    sets = ["dataset.train_n=1000", "dataset.test_n=1000", "dataset.val_n=500"]
+    if kind == "idx":
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(synth_digits(2500, seed=2), images, labels)
+        sets += ["dataset.kind=idx", f"dataset.images={images}", f"dataset.labels={labels}"]
+    return cli.resolve_config(cli.load_config(None, sets))
+
+
+@pytest.mark.parametrize("kind", ["synth_digits", "idx"])
+def test_build_dataset_holds_one_copy(tmp_path, traced, kind):
+    # built or loaded, then split: copying the split parts out of the whole
+    # set peaks at twice the parts' bytes
+    config = dataset_config(tmp_path, kind)
+    peak, sp = transient_peak(cli.build_dataset, config, 0)
+    parts = (sp.train, sp.test, sp.validation)
+    feature_bytes = sum(part.features.nbytes for part in parts)
+    assert peak <= 1.25 * feature_bytes, f"peak {peak / feature_bytes:.2f}x the split's features"
+
+
+@pytest.mark.parametrize("kind", ["synth_digits", "idx"])
+def test_build_dataset_parts_share_one_buffer(tmp_path, kind):
+    sp = cli.build_dataset(dataset_config(tmp_path, kind), 0)
+    parts = (sp.train, sp.test, sp.validation)
+    for field in ("features", "labels"):
+        buffer = getattr(sp.train, field).base
+        assert buffer is not None, f"train {field} own their memory"
+        assert buffer.nbytes == sum(getattr(part, field).nbytes for part in parts)
+        for part in parts:
+            assert np.shares_memory(getattr(part, field), buffer)
+
+
+def test_confusion_transient_does_not_grow_with_the_set(traced):
+    model = nn.init_weights([64, 128, 128, 128, 10], seed=1)
+    rng = np.random.default_rng(0)
+    peaks = []
+    for rows in (PREDICT_ROWS, 4 * PREDICT_ROWS):
+        ds = Dataset(rng.random((rows, 64)), rng.integers(0, 10, rows), 10)
+        peaks.append(transient_peak(confusion, model, ds)[0])
+    # the labels grow by 8 bytes a row; the activations must not grow at all
+    assert peaks[1] <= peaks[0] + 8 * 4 * PREDICT_ROWS + 4096, peaks
