@@ -26,7 +26,6 @@ from .linalg import stream
 from .nn import MlpModel, _as_batch, forward
 
 PREDICT_ROWS = 256  # rows per forward in predict: bounds its activations' memory
-RATIO_TABLE_C5 = [0.2, 0.44, 0.72, 1.07, 1.48, 1.98]  # reference rounding for c=5
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,6 @@ def theorem1_check(model: MlpModel, active_sets, c: int):
         rows.append({
             "k": k,
             "ratio": float(ratios.mean()),
-            "ratio_spread": float(np.abs(ratios - ratios.mean()).max()),
             "expected_ratio": expected_ratio,
             "growth": float(growth.mean()),
             "expected_growth": ((c + 1) / c) ** k,

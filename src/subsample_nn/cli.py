@@ -1,12 +1,12 @@
 """Batch experiment runner.
 
 Subcommands: train, sweep, verify-theory, matmul-bench. Runs are configured by
-a JSON file plus repeatable --set key=value overrides; every artifact a run
+a JSON file plus repeatable --set key=value overrides, and sweep --vary
+PATH=v1,v2,... makes one run per value, each set as by --set; every variant
+is resolved, and so checked, before the first run. Every artifact a run
 writes is determined by (config, seed), except wall-clock columns in
-timing.csv. Policy kinds are exact names, and the policy's constructor
-converts and checks its parameters, whether set in the file, by --set or with
-sweep --vary policy. Exit codes: 0 ok, 1 runtime failure, 2 usage error,
-3 theory verification failure.
+timing.csv. Exit codes: 0 ok, 1 runtime failure, 2 usage error, 3 theory
+verification failure.
 """
 
 from __future__ import annotations
@@ -51,6 +51,14 @@ DEFAULT_CONFIG = {
     "seed": 0,
 }
 
+# dataset kind -> builder(dataset section, sample count, seed)
+DATASETS = {
+    "idx": lambda ds, n, seed: data.load_idx(ds["images"], ds["labels"]),
+    "synth_digits": lambda ds, n, seed: data.synth_digits(n, seed=seed, noise=ds["noise"]),
+    "synth_blobs": lambda ds, n, seed: data.synth_blobs(n, ds["n_features"], ds["n_classes"],
+                                                        ds["separation"], seed=seed),
+}
+
 # split sizes left null resolve by dataset kind
 DEFAULT_SPLIT = {"train_n": 5000, "test_n": 1000, "val_n": 1000}
 IDX_DEFAULT_SPLIT = {"train_n": 55000, "test_n": 10000, "val_n": 5000}
@@ -88,13 +96,22 @@ def _apply_set(config: dict, assignment: str):
     node[parts[-1]] = value
 
 
-def load_config(path=None, sets=()) -> dict:
+def load_config(path=None, sets=(), seed=None) -> dict:
+    """The defaults merged with the config file, then each --set, then --seed."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as f:
-            config = _merge(config, json.load(f))
+            try:
+                loaded = json.load(f)
+            except ValueError as exc:
+                raise ParameterError(f"config file {path} is not valid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ParameterError(f"config file {path} must hold a JSON object, got {loaded!r}")
+        config = _merge(config, loaded)
     for assignment in sets:
         _apply_set(config, assignment)
+    if seed is not None:
+        config["seed"] = seed
     return config
 
 
@@ -119,64 +136,56 @@ def _convert_settings(config: dict, defaults: dict, prefix=""):
 def resolve_config(config: dict) -> dict:
     """Check and convert the settings, the policy section by building the
     policy, then fill the defaults that depend on other settings: split sizes,
-    batch size and learning rate. Runs on the merged config, so a setting has
-    the same effect from a config file and from --set."""
+    batch size and learning rate. The run's range, dataset and optimizer checks
+    run here too, before any data is built. Runs on the merged config, so a
+    setting has the same effect from a config file and from --set."""
     return _resolve(config)[0]
 
 
-def _resolve(config: dict) -> tuple[dict, ComputePolicy]:
-    """resolve_config, also returning the policy it built."""
+def _resolve(config: dict) -> tuple[dict, ComputePolicy, Optimizer]:
+    """resolve_config, also returning the policy and the optimizer it built."""
     config = _merge(DEFAULT_CONFIG, config)
     _convert_settings(config, DEFAULT_CONFIG)
     policy_cfg = config["policy"]
     policy = make_policy(**policy_cfg)
     policy_cfg.update({key: getattr(policy, key) for key in policy_cfg if key != "kind"})
     ds_cfg = config["dataset"]
-    split_defaults = IDX_DEFAULT_SPLIT if ds_cfg.get("kind") == "idx" else DEFAULT_SPLIT
-    for key, value in split_defaults.items():
-        if ds_cfg.get(key) is None:
-            ds_cfg[key] = value
+    kind = ds_cfg["kind"]
+    if not isinstance(kind, str) or kind not in DATASETS:
+        raise ParameterError(f"unknown dataset kind {kind!r}")
+    if kind == "idx" and not (ds_cfg["images"] and ds_cfg["labels"]):
+        raise ParameterError("idx dataset needs 'images' and 'labels' paths")
+    split_defaults = IDX_DEFAULT_SPLIT if kind == "idx" else DEFAULT_SPLIT
+    ds_cfg.update({key: n for key, n in split_defaults.items() if ds_cfg[key] is None})
     if config["batch_size"] is None:
         config["batch_size"] = 20 if policy.name == "mc" else 1
     if config["optimizer"].get("learning_rate") is None:
         sgd_mc = policy.name == "mc" and config["batch_size"] == 1
         config["optimizer"]["learning_rate"] = 1e-4 if sgd_mc else 1e-3
-    return config, policy
-
-
-def build_dataset(cfg: dict, seed: int) -> data.Split:
-    """Build or load the configured dataset and split it in place: train, test
-    and validation are views of one buffer, which holds only the rows the
-    split uses."""
-    ds_cfg = cfg["dataset"]
-    kind = ds_cfg["kind"]
-    train_n, test_n, val_n = ds_cfg["train_n"], ds_cfg["test_n"], ds_cfg["val_n"]
-    total = train_n + test_n + val_n
-    if kind == "idx":
-        if not ds_cfg.get("images") or not ds_cfg.get("labels"):
-            raise ParameterError("idx dataset needs 'images' and 'labels' paths")
-        ds = data.load_idx(ds_cfg["images"], ds_cfg["labels"])
-    elif kind == "synth_digits":
-        ds = data.synth_digits(total, seed=seed, noise=ds_cfg["noise"])
-    elif kind == "synth_blobs":
-        ds = data.synth_blobs(total, ds_cfg["n_features"], ds_cfg["n_classes"],
-                              ds_cfg["separation"], seed=seed)
-    else:
-        raise ParameterError(f"unknown dataset kind {kind!r}")
-    return data.split_in_place(ds, train_n, test_n, val_n, seed)
-
-
-def run_training(config: dict, out_dir: Path) -> analysis.TrainReport:
-    config, policy = _resolve(config)
-    seed = config["seed"]
-    optimizer = Optimizer(kind=config["optimizer"]["kind"],
-                          learning_rate=config["optimizer"]["learning_rate"])
     if config["epochs"] < 0 or config["batch_size"] < 1:
         raise ParameterError("epochs must be >= 0 and batch_size >= 1")
     arch = config["architecture"]
     if arch["hidden_layers"] < 0 or arch["hidden_width"] < 1:
         raise ParameterError("architecture dims must be positive")
+    optimizer = Optimizer(kind=config["optimizer"]["kind"],
+                          learning_rate=config["optimizer"]["learning_rate"])
+    return config, policy, optimizer
 
+
+def build_dataset(cfg: dict, seed: int) -> data.Split:
+    """Build or load the dataset of a resolved config and split it in place:
+    train, test and validation are views of one buffer, which holds only the
+    rows the split uses."""
+    ds_cfg = cfg["dataset"]
+    train_n, test_n, val_n = ds_cfg["train_n"], ds_cfg["test_n"], ds_cfg["val_n"]
+    ds = DATASETS[ds_cfg["kind"]](ds_cfg, train_n + test_n + val_n, seed)
+    return data.split_in_place(ds, train_n, test_n, val_n, seed)
+
+
+def run_training(config: dict, out_dir: Path) -> analysis.TrainReport:
+    config, policy, optimizer = _resolve(config)
+    seed = config["seed"]
+    arch = config["architecture"]
     split = build_dataset(config, seed)
     dims = ([split.train.features.shape[1]]
             + [arch["hidden_width"]] * arch["hidden_layers"]
@@ -200,9 +209,7 @@ def run_training(config: dict, out_dir: Path) -> analysis.TrainReport:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config, args.set or [])
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = load_config(args.config, args.set or [], args.seed)
     report = run_training(config, Path(args.out))
     print(f"test_accuracy {report.test_accuracy:.4f}")
     return 0
@@ -213,27 +220,24 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# sweep axis -> the setting each value is assigned to, as by --set
-SWEEP_AXES = {"layers": "architecture.hidden_layers", "batch": "batch_size",
-              "policy": "policy.kind"}
-
-
 def _variant_configs(config: dict, vary: str):
-    """One resolved config per value of the swept axis, so a bad value is
-    reported before any run starts."""
+    """(name, resolved config) of each variant: each value of PATH=v1,v2,...
+    is assigned to the setting PATH as by --set. Every variant is resolved
+    here, so a bad value is reported before any run starts."""
     if "=" not in vary:
-        raise ParameterError("--vary expects forms like layers=1,2,3")
-    axis, raw = vary.split("=", 1)
+        raise ParameterError(f"--vary expects PATH=v1,v2,..., got {vary!r}")
+    path, raw = vary.split("=", 1)
     values = [v.strip() for v in raw.split(",") if v.strip()]
     if not values:
         raise ParameterError("--vary got an empty value list")
-    if axis not in SWEEP_AXES:
-        raise ParameterError(f"unknown sweep axis {axis!r}")
     variants = []
     for value in values:
         cfg = copy.deepcopy(config)
-        _apply_set(cfg, f"{SWEEP_AXES[axis]}={value}")
-        variants.append((f"{axis}-{value}", resolve_config(cfg)))
+        _apply_set(cfg, f"{path}={value}")
+        name = f"{path}-{value}"
+        if Path(name).name != name or name in (known for known, _ in variants):
+            raise ParameterError(f"--vary variant {name!r} is not a new directory name")
+        variants.append((name, resolve_config(cfg)))
     return variants
 
 
@@ -276,9 +280,7 @@ def _variant_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config, args.set or [])
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = load_config(args.config, args.set or [], args.seed)
     out_root = Path(args.out)
     variants = _variant_configs(config, args.vary)
     payloads = [(name, cfg, str(out_root / name)) for name, cfg in variants]
@@ -423,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="run a config sweep")
-    p_sweep.add_argument("--vary", required=True,
-                         help="layers=1,2,3 | batch=1,5,20 | policy=exact,alsh")
+    p_sweep.add_argument("--vary", required=True, metavar="PATH=V1,V2,...",
+                         help="one run per value of a setting, each set as by --set")
     p_sweep.add_argument("--out", default="runs/sweep")
     p_sweep.set_defaults(func=cmd_sweep)
 

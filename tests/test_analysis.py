@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from subsample_nn import nn
-from subsample_nn.analysis import (PREDICT_ROWS, RATIO_TABLE_C5, ConfusionMatrix,
+from subsample_nn.analysis import (PREDICT_ROWS, ConfusionMatrix,
                                    build_theorem1_network, confusion,
                                    label_concentration, lemma1_error, predict,
                                    random_active_sets, theorem1_check)
 from subsample_nn.data import synth_blobs
 from subsample_nn.errors import DimensionError, ParameterError, PreconditionError
 from subsample_nn.linalg import FLOPS, stream
+
+RATIO_TABLE_C5 = [0.2, 0.44, 0.72, 1.07, 1.48, 1.98]  # reference rounding for c=5
 
 
 def linear_model(dims, seed):

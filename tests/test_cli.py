@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from subsample_nn import analysis, cli
+from subsample_nn.errors import ParameterError
 
 
 @pytest.fixture
@@ -43,6 +46,15 @@ def run(argv):
 
 def _pid_and_cpus(_):
     return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
+def quick_start_commands():
+    """The arguments of each subsample-nn command in README's Quick start."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("subsample-nn ")]
 
 
 def sweep_rows(path):
@@ -193,15 +205,18 @@ class TestTrain:
         assert cfg["dataset"]["val_n"] == 5000
 
     def test_idx_from_set_defaults_to_full_scale_split(self):
-        cfg = cli.resolve_config(cli.load_config(None, ["dataset.kind=idx"]))
+        cfg = cli.resolve_config(cli.load_config(None, ["dataset.kind=idx", "dataset.images=i",
+                                                        "dataset.labels=l"]))
         split = [cfg["dataset"][key] for key in ("train_n", "test_n", "val_n")]
         assert split == [55000, 10000, 5000]
 
     def test_explicit_split_size_wins_over_idx_default(self, tmp_path):
         path = tmp_path / "idx.json"
-        path.write_text(json.dumps({"dataset": {"kind": "idx", "train_n": 100}}))
+        path.write_text(json.dumps({"dataset": {"kind": "idx", "train_n": 100,
+                                                "images": "i", "labels": "l"}}))
         for cfg in (cli.load_config(path, []),
-                    cli.load_config(None, ["dataset.kind=idx", "dataset.train_n=100"])):
+                    cli.load_config(None, ["dataset.kind=idx", "dataset.train_n=100",
+                                           "dataset.images=i", "dataset.labels=l"])):
             cfg = cli.resolve_config(cfg)
             split = [cfg["dataset"][key] for key in ("train_n", "test_n", "val_n")]
             assert split == [100, 10000, 5000]
@@ -211,18 +226,48 @@ class TestTrain:
         split = [cfg["dataset"][key] for key in ("train_n", "test_n", "val_n")]
         assert split == [5000, 1000, 1000]
 
+    @pytest.mark.parametrize("setting,message", [
+        ("batch_size=0", "epochs must be >= 0 and batch_size >= 1"),
+        ("epochs=-1", "epochs must be >= 0 and batch_size >= 1"),
+        ("architecture.hidden_layers=-1", "architecture dims must be positive"),
+        ("architecture.hidden_width=0", "architecture dims must be positive"),
+        ("optimizer.learning_rate=-1", "learning rate must be positive"),
+        ("optimizer.kind=rmsprop", "unknown optimizer 'rmsprop'"),
+        ("dataset.kind=nope", "unknown dataset kind 'nope'"),
+        ("dataset.kind=[1]", "unknown dataset kind [1]"),
+    ])
+    def test_resolve_makes_every_check_a_run_makes(self, setting, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            cli.resolve_config(cli.load_config(None, [setting]))
+
+    def test_seed_flag_is_applied_after_the_file_and_set(self, blob_config):
+        assert cli.load_config(blob_config, ["seed=5"], 7)["seed"] == 7
+        assert cli.load_config(blob_config, ["seed=5"])["seed"] == 5
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "must hold a JSON object, got [1, 2]"),
+        ('{"epochs": 1,', "is not valid JSON"),
+    ])
+    def test_malformed_config_file_is_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = run(["train", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"error: config file {path} {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestSweep:
     def test_layer_sweep_writes_merged_csv(self, blob_config, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "2")
         out = tmp_path / "sweep"
         assert run(["sweep", "--config", str(blob_config), "--out", str(out),
-                    "--vary", "layers=1,2"]) == 0
+                    "--vary", "architecture.hidden_layers=1,2"]) == 0
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert rows[0] == "variant,accuracy,total_seconds,total_flops"
         assert len(rows) == 3
-        assert (out / "layers-1" / "summary.json").exists()
-        assert (out / "layers-2" / "summary.json").exists()
+        assert (out / "architecture.hidden_layers-1" / "summary.json").exists()
+        assert (out / "architecture.hidden_layers-2" / "summary.json").exists()
 
     def test_sweep_after_in_process_training_does_not_hang(self, blob_config, tmp_path):
         # The parent holds an optimizer whose step pool has started threads
@@ -242,7 +287,8 @@ class TestSweep:
             opt = nn.Optimizer("adam", 1e-3)
             train(model, sp, make_policy("exact"), opt, epochs=1, batch_size=1, seed=0)
             code = cli.main(["sweep", "--config", {str(blob_config)!r},
-                             "--out", {str(tmp_path / "sweep")!r}, "--vary", "layers=1,2"])
+                             "--out", {str(tmp_path / "sweep")!r},
+                             "--vary", "architecture.hidden_layers=1,2"])
             assert code == 0, code
             grads = nn.backward(model, nn.forward(model, sp.train.features[:1]),
                                 sp.train.labels[:1])
@@ -274,9 +320,9 @@ class TestSweep:
         monkeypatch.setenv(cli.THREADS_ENV, "1")
         out_a, out_b = tmp_path / "s1", tmp_path / "s2"
         run(["sweep", "--config", str(blob_config), "--out", str(out_a),
-             "--vary", "batch=1,5"])
+             "--vary", "batch_size=1,5"])
         run(["sweep", "--config", str(blob_config), "--out", str(out_b),
-             "--vary", "batch=1,5"])
+             "--vary", "batch_size=1,5"])
         assert sweep_rows(out_a) == sweep_rows(out_b)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
@@ -297,7 +343,7 @@ class TestSweep:
             monkeypatch.setenv(cli.THREADS_ENV, workers)
             out = tmp_path / f"workers-{workers}"
             assert run(["sweep", "--config", str(blob_config), "--out", str(out),
-                        "--vary", "layers=1,2"]) == 0
+                        "--vary", "architecture.hidden_layers=1,2"]) == 0
             rows.append(sweep_rows(out))
         assert rows[0] == rows[1]
 
@@ -305,16 +351,16 @@ class TestSweep:
         monkeypatch.setenv(cli.THREADS_ENV, "1")
         out = tmp_path / "policies"
         assert run(["sweep", "--config", str(blob_config), "--out", str(out),
-                    "--vary", "policy=exact,dropout"]) == 0
+                    "--vary", "policy.kind=exact,dropout"]) == 0
         rows = (out / "sweep.csv").read_text().strip().splitlines()
-        assert [r.split(",")[0] for r in rows[1:]] == ["policy-exact", "policy-dropout"]
+        assert [r.split(",")[0] for r in rows[1:]] == ["policy.kind-exact", "policy.kind-dropout"]
 
     def test_policy_sweep_keeps_the_policy_settings(self, blob_config, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "1")
         out = tmp_path / "policies"
         assert run(["sweep", "--config", str(blob_config), "--out", str(out),
-                    "--vary", "policy=dropout", "--set", "policy.p_keep=0.5"]) == 0
-        summary = json.loads((out / "policy-dropout" / "summary.json").read_text())
+                    "--vary", "policy.kind=dropout", "--set", "policy.p_keep=0.5"]) == 0
+        summary = json.loads((out / "policy.kind-dropout" / "summary.json").read_text())
         assert summary["config"]["policy"] == {"kind": "dropout", "p_keep": 0.5}
         assert summary["policy"] == {"kind": "dropout", "p_keep": 0.5}
 
@@ -323,7 +369,7 @@ class TestSweep:
         monkeypatch.setenv(cli.THREADS_ENV, "1")
         out = tmp_path / "policies"
         code = run(["sweep", "--config", str(blob_config), "--out", str(out),
-                    "--vary", "policy=dropout,exact", "--set", "policy.p_keep=0.5"])
+                    "--vary", "policy.kind=dropout,exact", "--set", "policy.p_keep=0.5"])
         assert code == 2
         assert ("error: unknown parameters for policy 'exact': ['p_keep']"
                 in capsys.readouterr().err)
@@ -333,7 +379,7 @@ class TestSweep:
                                                     monkeypatch, capsys):
         monkeypatch.setenv(cli.THREADS_ENV, "two")
         code = run(["sweep", "--config", str(blob_config), "--out", str(tmp_path / "x"),
-                    "--vary", "layers=1,2"])
+                    "--vary", "architecture.hidden_layers=1,2"])
         assert code == 2
         assert f"error: {cli.THREADS_ENV} must be an integer" in capsys.readouterr().err
 
@@ -341,18 +387,63 @@ class TestSweep:
         assert run(["sweep", "--config", str(blob_config),
                     "--out", str(tmp_path / "x"), "--vary", "width=1,2"]) == 2
 
-    @pytest.mark.parametrize("vary,setting", [
-        ("layers=1,abc", "architecture.hidden_layers"), ("batch=1,abc", "batch_size"),
+    @pytest.mark.parametrize("path,values", [("architecture.hidden_width", [16, 24]),
+                                             ("seed", [0, 1])])
+    def test_any_setting_path_is_swept(self, blob_config, tmp_path, monkeypatch, path, values):
+        monkeypatch.setenv(cli.THREADS_ENV, "1")
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--config", str(blob_config), "--out", str(out),
+                    "--vary", f"{path}={','.join(map(str, values))}"]) == 0
+        assert [row[0] for row in sweep_rows(out)] == [f"{path}-{v}" for v in values]
+        for value in values:
+            node = json.loads((out / f"{path}-{value}" / "summary.json").read_text())["config"]
+            for part in path.split("."):
+                node = node[part]
+            assert node == value
+
+    @pytest.mark.parametrize("vary,message", [
+        ("batch_size=1,0", "epochs must be >= 0 and batch_size >= 1"),
+        ("architecture.hidden_layers=1,-1", "architecture dims must be positive"),
+        ("optimizer.learning_rate=0.001,-1", "learning rate must be positive"),
+        ("dataset.kind=synth_blobs,nope", "unknown dataset kind 'nope'"),
+        ("width=1,2", "unknown setting 'width'"),
+        ("policy=mc", "policy must be a section, got 'mc'"),
+        ("seed=0,0", "--vary variant 'seed-0' is not a new directory name"),
+        ("dataset.images=a/b", "--vary variant 'dataset.images-a/b' is not a new directory name"),
     ])
+    def test_bad_variant_fails_before_any_run(self, blob_config, tmp_path, monkeypatch,
+                                              capsys, vary, message):
+        monkeypatch.setenv(cli.THREADS_ENV, "1")
+        out = tmp_path / "x"
+        code = run(["sweep", "--config", str(blob_config), "--out", str(out), "--vary", vary])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()  # no variant ran
+
+    @pytest.mark.parametrize("setting", ["architecture.hidden_layers", "batch_size"])
     def test_non_numeric_vary_is_usage_error(self, blob_config, tmp_path, monkeypatch,
-                                             capsys, vary, setting):
+                                             capsys, setting):
         monkeypatch.setenv(cli.THREADS_ENV, "1")
         out = tmp_path / "x"
         code = run(["sweep", "--config", str(blob_config), "--out", str(out),
-                    "--vary", vary])
+                    "--vary", f"{setting}=1,abc"])
         assert code == 2
         assert f"error: {setting} must be an integer, got 'abc'" in capsys.readouterr().err
         assert not out.exists()  # the valid first value never ran
+
+
+class TestReadme:
+    def test_quick_start_commands_parse_and_resolve(self):
+        commands = quick_start_commands()
+        assert {argv[0] for argv in commands} >= {"train", "sweep"}
+        parser = cli.build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv)
+            if args.command == "train":
+                cli.resolve_config(cli.load_config(args.config, args.set or [], args.seed))
+            elif args.command == "sweep":
+                config = cli.load_config(args.config, args.set or [], args.seed)
+                assert cli._variant_configs(config, args.vary)
 
 
 class TestVerifyTheory:
