@@ -3,19 +3,17 @@
 Subcommands: train, sweep, verify-theory, matmul-bench. Runs are configured by
 a JSON file plus repeatable --set key=value overrides, and sweep --vary
 PATH=v1,v2,... makes one run per value, each set as by --set; every variant
-is resolved, and so checked, before the first run. Every artifact a run
-writes is determined by (config, seed), except wall-clock columns in
-timing.csv. Exit codes: 0 ok, 1 runtime failure, 2 usage error, 3 theory
-verification failure.
+is resolved, and so checked, before the first run, and the runs follow one
+another in this process. Every artifact a run writes is determined by
+(config, seed), except wall-clock columns in timing.csv. Exit codes: 0 ok,
+1 runtime failure, 2 usage error, 3 theory verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,11 +22,9 @@ import numpy as np
 from . import analysis, data, mc
 from .errors import ParameterError, SubsampleNNError, _number
 from .linalg import stream
-from .nn import Optimizer, init_weights, save_checkpoint, usable_cpus
+from .nn import Optimizer, init_weights, save_checkpoint
 from .policies import ComputePolicy, make_policy
 from .train import train
-
-THREADS_ENV = "SUBSAMPLE_NN_THREADS"
 
 DEFAULT_CONFIG = {
     "dataset": {
@@ -96,8 +92,8 @@ def _apply_set(config: dict, assignment: str):
     node[parts[-1]] = value
 
 
-def load_config(path=None, sets=(), seed=None) -> dict:
-    """The defaults merged with the config file, then each --set, then --seed."""
+def load_config(path=None, sets=()) -> dict:
+    """The defaults merged with the config file, then each --set."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as f:
@@ -110,8 +106,6 @@ def load_config(path=None, sets=(), seed=None) -> dict:
         config = _merge(config, loaded)
     for assignment in sets:
         _apply_set(config, assignment)
-    if seed is not None:
-        config["seed"] = seed
     return config
 
 
@@ -157,6 +151,12 @@ def _resolve(config: dict) -> tuple[dict, ComputePolicy, Optimizer]:
         raise ParameterError("idx dataset needs 'images' and 'labels' paths")
     split_defaults = IDX_DEFAULT_SPLIT if kind == "idx" else DEFAULT_SPLIT
     ds_cfg.update({key: n for key, n in split_defaults.items() if ds_cfg[key] is None})
+    sizes = [ds_cfg[key] for key in split_defaults]
+    if min(sizes) < 0 or (kind != "idx" and sum(sizes) < 1):
+        raise ParameterError("split sizes must be >= 0, and sum to >= 1 for a synthetic set")
+    if kind == "synth_blobs" and (min(ds_cfg["n_features"], ds_cfg["n_classes"]) < 1
+                                  or not ds_cfg["separation"] > 0):
+        raise ParameterError("synth_blobs needs n_features, n_classes >= 1 and separation > 0")
     if config["batch_size"] is None:
         config["batch_size"] = 20 if policy.name == "mc" else 1
     if config["optimizer"].get("learning_rate") is None:
@@ -209,7 +209,7 @@ def run_training(config: dict, out_dir: Path) -> analysis.TrainReport:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config, args.set or [], args.seed)
+    config = load_config(args.config, args.set or [])
     report = run_training(config, Path(args.out))
     print(f"test_accuracy {report.test_accuracy:.4f}")
     return 0
@@ -241,63 +241,17 @@ def _variant_configs(config: dict, vary: str):
     return variants
 
 
-def _run_variant(payload):
-    name, config, out_dir = payload
-    report = run_training(config, Path(out_dir))
-    return name, report.test_accuracy, report.total_seconds, report.total_flops
-
-
-def _max_workers(n_variants: int) -> int:
-    cap = os.environ.get(THREADS_ENV)
-    try:
-        limit = int(cap) if cap else len(usable_cpus())
-    except ValueError:
-        raise ParameterError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
-    return max(1, min(n_variants, limit))
-
-
-def _take_cpu_share(counter, cpus: list, workers: int):
-    """Pool initializer: pin this worker to its own max(1, len(cpus) // workers)
-    of the parent's CPUs, so that its Adam step runs one thread per CPU it owns
-    instead of one per CPU of the whole mask."""
-    with counter.get_lock():
-        index = counter.value
-        counter.value += 1
-    share = max(1, len(cpus) // workers)
-    start = index * share % len(cpus)
-    os.sched_setaffinity(0, cpus[start : start + share])
-
-
-def _variant_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
-    """Worker processes for a sweep, each on its share of this process's CPUs."""
-    if not hasattr(os, "sched_setaffinity"):
-        return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    import multiprocessing  # here, not at the top: it adds 0.5 MiB to every run's RSS
-
-    return concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_take_cpu_share,
-        initargs=(multiprocessing.Value("i", 0), usable_cpus(), workers))
-
-
 def cmd_sweep(args) -> int:
-    config = load_config(args.config, args.set or [], args.seed)
+    config = load_config(args.config, args.set or [])
     out_root = Path(args.out)
     variants = _variant_configs(config, args.vary)
-    payloads = [(name, cfg, str(out_root / name)) for name, cfg in variants]
+    reports = [(name, run_training(cfg, out_root / name)) for name, cfg in variants]
 
-    workers = _max_workers(len(payloads))
-    if workers == 1:
-        results = [_run_variant(p) for p in payloads]
-    else:
-        with _variant_pool(workers) as pool:
-            results = list(pool.map(_run_variant, payloads))
-
-    out_root.mkdir(parents=True, exist_ok=True)
     with open(out_root / "sweep.csv", "w") as f:
         f.write("variant,accuracy,total_seconds,total_flops\n")
-        for name, acc, seconds, flops in results:
-            f.write(f"{name},{acc!r},{seconds!r},{flops}\n")
-            print(f"{name}: accuracy {acc:.4f}")
+        for name, r in reports:
+            f.write(f"{name},{r.test_accuracy!r},{r.total_seconds!r},{r.total_flops}\n")
+            print(f"{name}: accuracy {r.test_accuracy:.4f}")
     return 0
 
 
@@ -418,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config entry (repeatable)")
-    common.add_argument("--seed", type=int, default=None)
 
     p_train = sub.add_parser("train", parents=[common], help="run one training job")
     p_train.add_argument("--out", default="runs/train")

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from .analysis import (ConfusionMatrix, TrainReport, confusion, label_concentration,
-                       predict)
+from .analysis import TrainReport, confusion, label_concentration, predict
 from .data import Split
 from .errors import ParameterError
 from .linalg import FLOPS, stream
@@ -69,11 +66,7 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
             val_accuracy.append(evaluate_accuracy(model, split.validation))
 
     with FLOPS.phase("eval"):
-        if len(split.test):
-            cm = confusion(model, split.test)
-        else:
-            n = split.train.n_classes
-            cm = ConfusionMatrix(np.zeros((n, n), dtype=np.int64))
+        cm = confusion(model, split.test)
     distinct, _ = label_concentration(cm)
 
     total_seconds = time.perf_counter() - run_start

@@ -44,10 +44,6 @@ def run(argv):
     return cli.main(argv)
 
 
-def _pid_and_cpus(_):
-    return os.getpid(), frozenset(os.sched_getaffinity(0))
-
-
 def quick_start_commands():
     """The arguments of each subsample-nn command in README's Quick start."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -240,8 +236,26 @@ class TestTrain:
         with pytest.raises(ParameterError, match=re.escape(message)):
             cli.resolve_config(cli.load_config(None, [setting]))
 
+    @pytest.mark.parametrize("settings", [
+        ["dataset.train_n=-1"],
+        ["dataset.val_n=-1", "dataset.kind=synth_blobs"],
+        ["dataset.train_n=0", "dataset.test_n=0", "dataset.val_n=0"],
+        ["dataset.kind=synth_blobs", "dataset.train_n=0", "dataset.test_n=0", "dataset.val_n=0"],
+    ], ids=["negative", "negative-blobs", "all-zero", "all-zero-blobs"])
+    def test_split_sizes_are_checked_at_resolve(self, settings):
+        with pytest.raises(ParameterError, match=re.escape(
+                "split sizes must be >= 0, and sum to >= 1 for a synthetic set")):
+            cli.resolve_config(cli.load_config(None, settings))
+
+    @pytest.mark.parametrize("setting", ["dataset.n_features=0", "dataset.n_classes=0",
+                                         "dataset.separation=0", "dataset.separation=-1"])
+    def test_blob_settings_are_checked_at_resolve(self, setting):
+        with pytest.raises(ParameterError, match=re.escape(
+                "synth_blobs needs n_features, n_classes >= 1 and separation > 0")):
+            cli.resolve_config(cli.load_config(None, ["dataset.kind=synth_blobs", setting]))
+        cli.resolve_config(cli.load_config(None, [setting]))  # synth_digits ignores them
+
     def test_seed_flag_is_applied_after_the_file_and_set(self, blob_config):
-        assert cli.load_config(blob_config, ["seed=5"], 7)["seed"] == 7
         assert cli.load_config(blob_config, ["seed=5"])["seed"] == 5
 
     @pytest.mark.parametrize("text,message", [
@@ -258,8 +272,7 @@ class TestTrain:
 
 
 class TestSweep:
-    def test_layer_sweep_writes_merged_csv(self, blob_config, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
+    def test_layer_sweep_writes_merged_csv(self, blob_config, tmp_path):
         out = tmp_path / "sweep"
         assert run(["sweep", "--config", str(blob_config), "--out", str(out),
                     "--vary", "architecture.hidden_layers=1,2"]) == 0
@@ -270,8 +283,8 @@ class TestSweep:
         assert (out / "architecture.hidden_layers-2" / "summary.json").exists()
 
     def test_sweep_after_in_process_training_does_not_hang(self, blob_config, tmp_path):
-        # The parent holds an optimizer whose step pool has started threads
-        # when the sweep forks its workers; a forked child also steps it.
+        # The process holds an optimizer whose step pool has started threads
+        # and runs a sweep; a child forked after both also steps it.
         script = textwrap.dedent(f"""
             import os
             import signal
@@ -301,7 +314,7 @@ class TestSweep:
             print("ok")
         """)
         src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src), **{cli.THREADS_ENV: "2"})
+        env = dict(os.environ, PYTHONPATH=str(src))
         # its own session, so that a hang ends with every forked worker killed
         proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -316,8 +329,21 @@ class TestSweep:
         assert out.strip().endswith("ok")
         assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 3
 
-    def test_sweep_rows_reproducible(self, blob_config, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
+    def test_variants_run_in_this_process_in_vary_order(self, blob_config, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        run_training = cli.run_training
+
+        def recording(config, out_dir):
+            calls.append((os.getpid(), out_dir.name))
+            return run_training(config, out_dir)
+
+        monkeypatch.setattr(cli, "run_training", recording)
+        assert run(["sweep", "--config", str(blob_config), "--out", str(tmp_path / "sweep"),
+                    "--vary", "seed=2,0,1"]) == 0
+        assert calls == [(os.getpid(), f"seed-{seed}") for seed in (2, 0, 1)]
+
+    def test_sweep_rows_reproducible(self, blob_config, tmp_path):
         out_a, out_b = tmp_path / "s1", tmp_path / "s2"
         run(["sweep", "--config", str(blob_config), "--out", str(out_a),
              "--vary", "batch_size=1,5"])
@@ -325,38 +351,14 @@ class TestSweep:
              "--vary", "batch_size=1,5"])
         assert sweep_rows(out_a) == sweep_rows(out_b)
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
-    def test_sweep_workers_split_the_cpus(self):
-        cpus = set(os.sched_getaffinity(0))
-        with cli._variant_pool(2) as pool:
-            masks = dict(pool.map(_pid_and_cpus, range(8)))
-        for mask in masks.values():
-            assert len(mask) == max(1, len(cpus) // 2)
-            assert mask <= cpus
-        if len(cpus) >= 2 and len(masks) == 2:
-            first, second = masks.values()
-            assert not first & second
-
-    def test_parallel_sweep_rows_match_sequential(self, blob_config, tmp_path, monkeypatch):
-        rows = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv(cli.THREADS_ENV, workers)
-            out = tmp_path / f"workers-{workers}"
-            assert run(["sweep", "--config", str(blob_config), "--out", str(out),
-                        "--vary", "architecture.hidden_layers=1,2"]) == 0
-            rows.append(sweep_rows(out))
-        assert rows[0] == rows[1]
-
-    def test_policy_sweep(self, blob_config, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
+    def test_policy_sweep(self, blob_config, tmp_path):
         out = tmp_path / "policies"
         assert run(["sweep", "--config", str(blob_config), "--out", str(out),
                     "--vary", "policy.kind=exact,dropout"]) == 0
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["policy.kind-exact", "policy.kind-dropout"]
 
-    def test_policy_sweep_keeps_the_policy_settings(self, blob_config, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
+    def test_policy_sweep_keeps_the_policy_settings(self, blob_config, tmp_path):
         out = tmp_path / "policies"
         assert run(["sweep", "--config", str(blob_config), "--out", str(out),
                     "--vary", "policy.kind=dropout", "--set", "policy.p_keep=0.5"]) == 0
@@ -364,9 +366,7 @@ class TestSweep:
         assert summary["config"]["policy"] == {"kind": "dropout", "p_keep": 0.5}
         assert summary["policy"] == {"kind": "dropout", "p_keep": 0.5}
 
-    def test_policy_sweep_checks_every_kind_before_any_run(self, blob_config, tmp_path,
-                                                           monkeypatch, capsys):
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
+    def test_policy_sweep_checks_every_kind_before_any_run(self, blob_config, tmp_path, capsys):
         out = tmp_path / "policies"
         code = run(["sweep", "--config", str(blob_config), "--out", str(out),
                     "--vary", "policy.kind=dropout,exact", "--set", "policy.p_keep=0.5"])
@@ -375,22 +375,13 @@ class TestSweep:
                 in capsys.readouterr().err)
         assert not out.exists()  # the valid dropout variant never ran
 
-    def test_non_numeric_thread_cap_is_usage_error(self, blob_config, tmp_path,
-                                                    monkeypatch, capsys):
-        monkeypatch.setenv(cli.THREADS_ENV, "two")
-        code = run(["sweep", "--config", str(blob_config), "--out", str(tmp_path / "x"),
-                    "--vary", "architecture.hidden_layers=1,2"])
-        assert code == 2
-        assert f"error: {cli.THREADS_ENV} must be an integer" in capsys.readouterr().err
-
     def test_unknown_axis_usage_error(self, blob_config, tmp_path):
         assert run(["sweep", "--config", str(blob_config),
                     "--out", str(tmp_path / "x"), "--vary", "width=1,2"]) == 2
 
     @pytest.mark.parametrize("path,values", [("architecture.hidden_width", [16, 24]),
                                              ("seed", [0, 1])])
-    def test_any_setting_path_is_swept(self, blob_config, tmp_path, monkeypatch, path, values):
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
+    def test_any_setting_path_is_swept(self, blob_config, tmp_path, path, values):
         out = tmp_path / "sweep"
         assert run(["sweep", "--config", str(blob_config), "--out", str(out),
                     "--vary", f"{path}={','.join(map(str, values))}"]) == 0
@@ -410,10 +401,11 @@ class TestSweep:
         ("policy=mc", "policy must be a section, got 'mc'"),
         ("seed=0,0", "--vary variant 'seed-0' is not a new directory name"),
         ("dataset.images=a/b", "--vary variant 'dataset.images-a/b' is not a new directory name"),
+        ("dataset.train_n=100,-5", "split sizes must be >= 0"),
+        ("dataset.separation=1,-1", "synth_blobs needs n_features, n_classes >= 1 and separation > 0"),
     ])
-    def test_bad_variant_fails_before_any_run(self, blob_config, tmp_path, monkeypatch,
-                                              capsys, vary, message):
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
+    def test_bad_variant_fails_before_any_run(self, blob_config, tmp_path, capsys, vary,
+                                              message):
         out = tmp_path / "x"
         code = run(["sweep", "--config", str(blob_config), "--out", str(out), "--vary", vary])
         assert code == 2
@@ -421,9 +413,7 @@ class TestSweep:
         assert not out.exists()  # no variant ran
 
     @pytest.mark.parametrize("setting", ["architecture.hidden_layers", "batch_size"])
-    def test_non_numeric_vary_is_usage_error(self, blob_config, tmp_path, monkeypatch,
-                                             capsys, setting):
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
+    def test_non_numeric_vary_is_usage_error(self, blob_config, tmp_path, capsys, setting):
         out = tmp_path / "x"
         code = run(["sweep", "--config", str(blob_config), "--out", str(out),
                     "--vary", f"{setting}=1,abc"])
@@ -440,9 +430,9 @@ class TestReadme:
         for argv in commands:
             args = parser.parse_args(argv)
             if args.command == "train":
-                cli.resolve_config(cli.load_config(args.config, args.set or [], args.seed))
+                cli.resolve_config(cli.load_config(args.config, args.set or []))
             elif args.command == "sweep":
-                config = cli.load_config(args.config, args.set or [], args.seed)
+                config = cli.load_config(args.config, args.set or [])
                 assert cli._variant_configs(config, args.vary)
 
 

@@ -35,6 +35,16 @@ def test_zero_epochs_keeps_model_and_reports_baseline():
         np.testing.assert_array_equal(w, s)
 
 
+def test_empty_test_set_gives_a_zero_confusion():
+    ds = synth_blobs(300, 16, 3, separation=10.0, seed=0)
+    sp = split(ds, 200, 0, 100, seed=0)
+    report = train(init_weights([16, 32, 3], seed=1), sp, make_policy("exact"),
+                   Optimizer("adam", 1e-3), epochs=1, batch_size=1, seed=2)
+    assert report.confusion == [[0, 0, 0]] * 3
+    assert report.test_accuracy == 0.0
+    assert report.distinct_predicted_labels == 0
+
+
 def test_same_seed_reproduces_summary_bytes():
     outputs = []
     for _ in range(2):
