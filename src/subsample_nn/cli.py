@@ -167,6 +167,7 @@ def _resolve(config: dict) -> tuple[dict, ComputePolicy, Optimizer]:
     arch = config["architecture"]
     if arch["hidden_layers"] < 0 or arch["hidden_width"] < 1:
         raise ParameterError("architecture dims must be positive")
+    policy.check_hidden_widths([arch["hidden_width"]] * arch["hidden_layers"])
     optimizer = Optimizer(kind=config["optimizer"]["kind"],
                           learning_rate=config["optimizer"]["learning_rate"])
     return config, policy, optimizer

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the checked number conversion."""
 
+import math
+
 
 class SubsampleNNError(Exception):
     """Base class for all errors raised by this package."""
@@ -14,13 +16,14 @@ class ParameterError(SubsampleNNError):
 
 
 def _number(path: str, number, value):
-    """value as an int or a float; an int setting takes no fractional value
-    and no setting takes a boolean."""
+    """value as an int or a float; an int setting takes no fractional value, a
+    float setting no NaN or infinity, and no setting a boolean."""
     try:
         converted = None if isinstance(value, bool) else number(value)
     except (TypeError, ValueError, OverflowError):
         converted = None
-    if converted is None or (number is int and isinstance(value, float) and converted != value):
+    if (converted is None or (number is int and isinstance(value, float) and converted != value)
+            or (number is float and not math.isfinite(converted))):
         raise ParameterError(f"{path} must be {'an integer' if number is int else 'a number'}"
                              f", got {value!r}")
     return converted

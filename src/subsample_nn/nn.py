@@ -116,10 +116,6 @@ class MlpModel(_FlatParameters):
     def n_outputs(self):
         return self.layer_dims[-1]
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(list(self.layer_dims), self.weights, self.biases,
-                        self.hidden_activation)
-
 
 @dataclass
 class ForwardTrace:
@@ -328,20 +324,14 @@ class _AdamState:
     pid: int | None = None
 
 
-def usable_cpus() -> list[int]:
-    """The CPUs this process may run on: its affinity mask where the platform
-    has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
-
-
 def _ensure_adam_state(opt: Optimizer, size: int, threads=None) -> _AdamState:
     """Create the moments and the slices once, so that the step allocates
     nothing: one equal slice per thread (default: per CPU this process may
     run on). More slices per thread only add GIL handoffs."""
     if opt._adam is None:
-        n = min(threads or len(usable_cpus()), size)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        n = min(threads or cpus, size)
         m, v, s, r = np.zeros(size), np.zeros(size), np.empty(size), np.empty(size)
         bounds = [j * size // n for j in range(n + 1)]
         opt._adam = _AdamState(size, [(lo, hi, m[lo:hi], v[lo:hi], s[lo:hi], r[lo:hi])

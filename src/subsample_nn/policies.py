@@ -1,18 +1,21 @@
 """Pluggable strategies for how each layer's matrix products are computed.
 
-Column-selection policies (dropout, adaptive dropout, hash-based active-node
-selection) compute pre-activations only for a selected subset of a hidden
-layer's nodes and treat the rest as exactly zero for the step; gradients flow
-only through selected nodes. The Monte-Carlo policy runs the forward pass
-exactly and replaces each backprop matrix product with a Bernoulli-sampled
+Every policy reaches nn through ComputePolicy's forward and backward, which
+pass on at most one function each. A node-selecting policy (dropout, adaptive
+dropout, hash-based active-node selection) defines `_layer_mask`, nn.forward's
+selector: a hidden layer computes only its kept nodes, the rest are exactly
+zero for the step, and gradients flow only through kept nodes. The
+Monte-Carlo policy defines `_sampled_product`, nn.backward's product: the
+forward pass is exact and each backprop matrix product is a Bernoulli-sampled
 estimate. The output layer is always computed exactly under every policy.
 
 FLOP accounting: nn.forward and nn.backward charge masked hidden-layer
 products 2 * fan_in per kept node (skipped nodes cost nothing) and products
-touching the output layer in full. The policies charge only their selection
-work (hash probes, the skipped share of a mask-building product,
-sampling-probability norms), inside FLOPS.phase("policy_overhead"), so its
-FLOPs and seconds go to that phase and not to the caller's.
+touching the output layer in full. Selection work (mask draws, hash probes,
+the skipped share of a mask-building product, sampling-probability norms)
+runs in FLOPS.phase("policy_overhead"): the base forward opens it around
+every `_layer_mask` call and MC around its probabilities, so its FLOPs and
+seconds go to that phase and not to the caller's.
 
 A policy is a dataclass whose fields are exactly its config parameters, each
 converted on construction to its default's type; it also holds its random
@@ -62,17 +65,28 @@ class RunCounts:
 
 @dataclass(eq=False)
 class ComputePolicy:
-    """Exact computation; base class that the sampling policies override."""
+    """Exact computation, and the only class that wires a policy into nn:
+    forward and backward pass on `_layer_mask` and `_sampled_product`."""
 
     name = "exact"
+    # (model, k, a_prev) -> (mask, scale, z) for hidden layer k; z is None when
+    # the mask is chosen before the product, which nn.forward then computes
+    _layer_mask = None
+    # (k, a, b, out) -> one of layer k's backprop products, as for nn.backward
+    _sampled_product = None
 
     def __post_init__(self):
         for f in fields(self):
             setattr(self, f.name, _number(f"policy.{f.name}", type(f.default),
                                           getattr(self, f.name)))
 
+    def check_hidden_widths(self, widths):
+        """Raise ParameterError if the policy cannot run on hidden layers of
+        these widths; called by bind and, before any data is built, by the CLI."""
+
     def bind(self, model: nn.MlpModel, seed: int, counts: RunCounts):
         """Attach to one training run, whose statistics go to counts."""
+        self.check_hidden_widths(model.layer_dims[1:-1])
         self._rng = stream(seed, "policy", self.name)
         self._counts = counts
 
@@ -82,30 +96,22 @@ class ComputePolicy:
     # -- hooks -------------------------------------------------------------
 
     def forward(self, model, x) -> nn.ForwardTrace:
-        return nn.forward(model, x)
+        select = None
+        if self._layer_mask is not None:
+            def select(k, a):
+                with FLOPS.phase("policy_overhead"):
+                    return self._layer_mask(model, k, a)
+        return nn.forward(model, x, select)
 
     def backward(self, model, trace, targets) -> nn.Gradients:
-        return nn.backward(model, trace, targets)
+        return nn.backward(model, trace, targets, self._sampled_product)
 
     def on_samples_seen(self, model, seen: range):
         """After each step; seen holds the step's 1-based sample counts in the run."""
 
 
-class _ColumnPolicy(ComputePolicy):
-    """Node selection: forward computes hidden layer k only for the nodes
-    `_layer_mask` keeps; the inherited backward follows the trace's masks."""
-
-    def _layer_mask(self, model, k, a_prev):
-        """Return (mask, scale, z) for hidden layer k. z is None when the mask
-        is chosen before the product, which is then computed only where kept."""
-        raise NotImplementedError
-
-    def forward(self, model, x):
-        return nn.forward(model, x, lambda k, a: self._layer_mask(model, k, a))
-
-
 @dataclass(eq=False)
-class DropoutPolicy(_ColumnPolicy):
+class DropoutPolicy(ComputePolicy):
     """Uniform node selection with keep probability p_keep, inverted scaling
     at train time so inference needs none."""
 
@@ -124,7 +130,7 @@ class DropoutPolicy(_ColumnPolicy):
 
 
 @dataclass(eq=False)
-class AdaptiveDropoutPolicy(_ColumnPolicy):
+class AdaptiveDropoutPolicy(ComputePolicy):
     """Standout-style dropout: keep probabilities from the layer's own
     pre-activations (shared weights), sampled per node per sample.
 
@@ -139,17 +145,16 @@ class AdaptiveDropoutPolicy(_ColumnPolicy):
 
     def _layer_mask(self, model, k, a_prev):
         w, b = model.weights[k], model.biases[k]
-        with FLOPS.phase("policy_overhead"):
-            z = a_prev @ w + b
-            probs = adaptive_keep_probs(z, self.alpha, self.beta)
-            mask = self._rng.random(z.shape) < probs
-            FLOPS.add(2 * w.shape[0] * int((~mask).sum()) + 4 * z.size)
+        z = a_prev @ w + b
+        probs = adaptive_keep_probs(z, self.alpha, self.beta)
+        mask = self._rng.random(z.shape) < probs
+        FLOPS.add(2 * w.shape[0] * int((~mask).sum()) + 4 * z.size)
         scale = np.where(mask, 1.0 / probs, 1.0)
         return mask, scale, z
 
 
 @dataclass(eq=False)
-class AlshPolicy(_ColumnPolicy):
+class AlshPolicy(ComputePolicy):
     """Active-node selection by asymmetric-LSH maximum inner-product search.
 
     One index per hidden layer over the columns of that layer's weight matrix.
@@ -186,14 +191,13 @@ class AlshPolicy(_ColumnPolicy):
 
     def _layer_mask(self, model, k, a_prev):
         mask = np.zeros((a_prev.shape[0], model.layer_dims[k + 1]), dtype=bool)
-        with FLOPS.phase("policy_overhead"):
-            for row in range(a_prev.shape[0]):
-                active = alsh_mod.query_active(self.indexes[k], a_prev[row])
-                if active.size:
-                    mask[row, active] = True
-                else:
-                    self._counts.fallback_events += 1
-                    mask[row, :] = True
+        for row in range(a_prev.shape[0]):
+            active = alsh_mod.query_active(self.indexes[k], a_prev[row])
+            if active.size:
+                mask[row, active] = True
+            else:
+                self._counts.fallback_events += 1
+                mask[row, :] = True
         return mask, 1.0, None
 
     # prediction uses the exact network (same convention as dropout): the
@@ -220,12 +224,11 @@ class McBackpropPolicy(ComputePolicy):
         if self.k_samples < 1:
             raise ParameterError("k_samples must be at least 1")
 
-    def bind(self, model, seed, counts):
-        for width in model.layer_dims[1:-1]:
+    def check_hidden_widths(self, widths):
+        for width in widths:
             if self.k_samples > width:
                 raise ParameterError(
                     f"k_samples={self.k_samples} exceeds hidden width {width}")
-        super().bind(model, seed, counts)
 
     def _sampled_product(self, k, a, b, out):
         a, b = as_matrix(a), as_matrix(b)  # once: both calls below take them as they are
@@ -238,9 +241,6 @@ class McBackpropPolicy(ComputePolicy):
         self._counts.sampled_product_flops += 2 * a.shape[0] * plan.indices.size * b.shape[1]
         self._counts.replaced_exact_flops += 2 * a.shape[0] * shared * b.shape[1]
         return estimate
-
-    def backward(self, model, trace, targets):
-        return nn.backward(model, trace, targets, self._sampled_product)
 
 
 _POLICIES = {cls.name: cls for cls in (ComputePolicy, DropoutPolicy, AdaptiveDropoutPolicy,

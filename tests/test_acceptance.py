@@ -8,6 +8,7 @@ red until the program improves, with the analysis in the assertion message
 (see also the README benchmark notes).
 """
 
+import copy
 import time
 from itertools import product
 
@@ -311,11 +312,11 @@ def test_c06_gradient_correctness():
         results = {}
         model = init_weights([6, 12, 4], seed=80)
         x = stream(81, "acc-fd").standard_normal(6)
-        results["exact"] = _fd_max_rel_error(model.copy(), ComputePolicy(), x, 2)
+        results["exact"] = _fd_max_rel_error(copy.deepcopy(model), ComputePolicy(), x, 2)
         results["dropout(p=1)"] = _fd_max_rel_error(
-            model.copy(), DropoutPolicy(p_keep=1.0), x, 2)
+            copy.deepcopy(model), DropoutPolicy(p_keep=1.0), x, 2)
         results["adaptive(sat)"] = _fd_max_rel_error(
-            model.copy(), AdaptiveDropoutPolicy(alpha=0.0, beta=1000.0), x, 2)
+            copy.deepcopy(model), AdaptiveDropoutPolicy(alpha=0.0, beta=1000.0), x, 2)
 
         deep = init_weights([5, 8, 8, 3], seed=82)
         results["mc(k=width)"] = _fd_max_rel_error(

@@ -17,6 +17,7 @@ from subsample_nn.mc import approx_matmul_bernoulli
 from subsample_nn.train import train
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import run as bench_run  # noqa: E402
 import workloads  # noqa: E402
 
 FUNCTIONS = [b for b in workloads.BOUNDARIES if not b.startswith("policies.")]
@@ -107,3 +108,14 @@ def test_mc_backward_calls_both_sampling_functions_per_product(monkeypatch):
     x = stream(6, "contract-mc-x").standard_normal((4, 6))
     policy.backward(model, policy.forward(model, x), [0, 1, 2, 0])
     assert calls == dict.fromkeys(calls, 2 * layers - 1)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_worker_run_passes_its_checks(name):
+    # the whole traced run, with the hooks wrapped; writes only .bench_out/
+    result, error = bench_run.run_worker(name, 0, True, 120)
+    assert result is not None, error
+    assert bench_run.check(name, result) == []
+    if name == "alsh-b1":  # one query per sample and hidden layer
+        assert result["layers"]["alsh.query_active.calls"] == (
+            workloads.DATASET["train_n"] * workloads.ARCHITECTURE["hidden_layers"])

@@ -31,7 +31,8 @@ def blob_config(tmp_path):
 
 # the policy kind that takes each policy.* setting
 POLICY_OF = {"policy.p_keep": "dropout", "policy.alpha": "adaptive_dropout",
-             "policy.C": "alsh", "policy.K": "alsh", "policy.k_samples": "mc"}
+             "policy.beta": "adaptive_dropout", "policy.C": "alsh", "policy.K": "alsh",
+             "policy.k_samples": "mc"}
 
 # how a setting's conversion error names its type
 WORDING = {"epochs": "an integer", "dataset.noise": "a number", "dataset.separation": "a number",
@@ -102,6 +103,19 @@ class TestTrain:
                     "--set", f"{setting}=abc"])
         assert code == 2
         assert f"error: {setting} must be {WORDING[setting]}, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "nan", "inf"])
+    @pytest.mark.parametrize("setting", ["dataset.noise", "dataset.separation",
+                                         "optimizer.learning_rate", "policy.p_keep",
+                                         "policy.alpha", "policy.beta", "policy.C"])
+    def test_non_finite_setting_is_usage_error(self, blob_config, tmp_path, capsys, setting,
+                                               value):
+        code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
+                    "--set", f"policy.kind={POLICY_OF.get(setting, 'exact')}",
+                    "--set", f"{setting}={value}"])
+        assert code == 2
+        assert f"error: {setting} must be a number, got " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("setting,value", [
         ("epochs", "1.5"), ("architecture.hidden_width", "32.9"), ("dataset.train_n", "100.5"),
@@ -374,6 +388,14 @@ class TestSweep:
         assert ("error: unknown parameters for policy 'exact': ['p_keep']"
                 in capsys.readouterr().err)
         assert not out.exists()  # the valid dropout variant never ran
+
+    def test_mc_width_is_checked_before_any_run(self, blob_config, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run(["sweep", "--config", str(blob_config), "--out", str(out),
+                    "--set", "policy.kind=mc", "--vary", "architecture.hidden_width=16,8"])
+        assert code == 2
+        assert "error: k_samples=10 exceeds hidden width 8" in capsys.readouterr().err
+        assert not out.exists()  # the width-16 variant never ran
 
     def test_unknown_axis_usage_error(self, blob_config, tmp_path):
         assert run(["sweep", "--config", str(blob_config),

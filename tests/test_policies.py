@@ -374,6 +374,24 @@ class TestMcBackprop:
             McBackpropPolicy(k_samples=5).bind(model, 0, RunCounts())
 
 
+@pytest.mark.parametrize("kind", ["dropout", "adaptive_dropout", "alsh"])
+def test_layer_mask_runs_in_policy_overhead(kind):
+    model = nn.init_weights([6, 8, 8, 3], seed=1)
+    policy = make_policy(kind)
+    policy.bind(model, 0, RunCounts())
+    layer_mask, phases = policy._layer_mask, []
+
+    def recording(*args):
+        phases.append(FLOPS._open[-1])  # the innermost open phase
+        return layer_mask(*args)
+
+    policy._layer_mask = recording
+    with FLOPS.phase("feedforward"):
+        policy.forward(model, stream(2, "x").standard_normal((3, 6)))
+    FLOPS.take()
+    assert phases == ["policy_overhead"] * 2  # one call per hidden layer
+
+
 class TestFactory:
     def test_known_kinds(self):
         for kind in ("exact", "dropout", "adaptive_dropout", "alsh", "mc"):
@@ -403,8 +421,10 @@ class TestFactory:
         (lambda: DropoutPolicy(p_keep="abc"), "policy.p_keep must be a number"),
         (lambda: make_policy("alsh", K=True), "policy.K must be an integer"),
         (lambda: DropoutPolicy(p_keep=True), "policy.p_keep must be a number"),
+        (lambda: make_policy("adaptive_dropout", alpha=float("nan")),
+         "policy.alpha must be a number"),
     ], ids=["make_policy-mc", "make_policy-alsh", "McBackpropPolicy", "DropoutPolicy",
-            "make_policy-alsh-boolean", "DropoutPolicy-boolean"])
+            "make_policy-alsh-boolean", "DropoutPolicy-boolean", "make_policy-adaptive-nan"])
     def test_library_path_converts_like_the_cli(self, build, message):
         with pytest.raises(ParameterError, match=message):
             build()
