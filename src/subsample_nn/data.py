@@ -8,12 +8,13 @@ Pixel bytes are scaled by 1/255 so features always live in [0, 1].
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _read_block
 from .linalg import stream
 
 IMAGES_MAGIC = 0x00000803
@@ -49,46 +50,29 @@ class Split:
     test: Dataset
 
 
-def _read_exact(f, n, path, offset):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"{path}: truncated at byte {offset + len(buf)} (wanted {n} more bytes)")
-    return buf
-
-
-def _read_u32(f, path, offset):
-    return struct.unpack(">I", _read_exact(f, 4, path, offset))[0]
+def _read_idx(path, magic, n_dims):
+    """The n_dims header counts of one IDX file and its prod(counts) bytes, after
+    its magic; FormatError if the magic differs or the file is short."""
+    with open(path, "rb") as f:
+        found = int(_read_block(f, path, ">u4", 1, "magic")[0])
+        if found != magic:
+            raise FormatError(f"{path}: bad magic 0x{found:08x} at byte 0")
+        counts = _read_block(f, path, ">u4", n_dims, "header").tolist()
+        return counts, _read_block(f, path, np.uint8, math.prod(counts), "data")
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair into a Dataset."""
-    with open(images_path, "rb") as f:
-        magic = _read_u32(f, images_path, 0)
-        if magic != IMAGES_MAGIC:
-            raise FormatError(f"{images_path}: bad magic 0x{magic:08x} at byte 0")
-        count = _read_u32(f, images_path, 4)
-        rows = _read_u32(f, images_path, 8)
-        cols = _read_u32(f, images_path, 12)
-        raw = _read_exact(f, count * rows * cols, images_path, 16)
-    pixels = np.frombuffer(raw, dtype=np.uint8)
-
-    with open(labels_path, "rb") as f:
-        magic = _read_u32(f, labels_path, 0)
-        if magic != LABELS_MAGIC:
-            raise FormatError(f"{labels_path}: bad magic 0x{magic:08x} at byte 0")
-        label_count = _read_u32(f, labels_path, 4)
-        raw = _read_exact(f, label_count, labels_path, 8)
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
+    (count, rows, cols), pixels = _read_idx(images_path, IMAGES_MAGIC, 3)
+    (label_count,), labels = _read_idx(labels_path, LABELS_MAGIC, 1)
     if label_count != count:
-        raise FormatError(
-            f"{labels_path}: label count {label_count} at byte 4 does not match image count {count}"
-        )
+        raise FormatError(f"{labels_path}: label count {label_count} at byte 4 does not "
+                          f"match image count {count}")
 
     features = pixels.astype(np.float64).reshape(count, rows * cols)
     features /= 255.0  # in place: the same division, without a second copy
     n_classes = int(labels.max()) + 1 if count else 0
-    return Dataset(features, labels, n_classes)
+    return Dataset(features, labels.astype(np.int64), n_classes)
 
 
 def write_idx(ds: Dataset, images_path, labels_path, rows=28, cols=28):
@@ -189,6 +173,7 @@ def synth_blobs(n_samples, n_features, n_classes, separation, seed) -> Dataset:
 # ---------------------------------------------------------------------------
 
 _DIGITS_CHUNK = 64  # rows composed at once: about 0.4 MB per temporary
+_DIGITS_MAX_SHIFT = 3  # a glyph moves at most this many pixels along each axis
 
 # segments: top, top-left, top-right, middle, bottom-left, bottom-right, bottom
 _SEGMENTS = {
@@ -236,7 +221,7 @@ def _glyph(digit, size=28):
     return img
 
 
-def synth_digits(n_samples, seed, noise=0.12, max_shift=3) -> Dataset:
+def synth_digits(n_samples, seed, noise=0.12) -> Dataset:
     """Deterministic 10-class 28x28 digit-like dataset in IDX-compatible layout.
 
     Each sample draws, in order, a stroke scale, a (dx, dy) shift and 784
@@ -254,7 +239,7 @@ def synth_digits(n_samples, seed, noise=0.12, max_shift=3) -> Dataset:
     shifts = np.empty((n_samples, 2), dtype=np.int64)  # (dx, dy)
     for i in range(n_samples):
         scales[i] = rng.uniform(0.6, 1.0)
-        shifts[i] = rng.integers(-max_shift, max_shift + 1, size=2)
+        shifts[i] = rng.integers(-_DIGITS_MAX_SHIFT, _DIGITS_MAX_SHIFT + 1, size=2)
         rng.standard_normal(out=out[i])
     # np.roll only permutes: pixel (r, c) of the rolled glyph is pixel
     # ((r - dy) % 28, (c - dx) % 28) of the glyph.

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the checked number conversion."""
+"""Exception types shared across the package, the checked number conversion and block reader."""
 
 import math
+import os
+
+import numpy as np
 
 
 class SubsampleNNError(Exception):
@@ -31,6 +34,19 @@ def _number(path: str, number, value):
 
 class FormatError(SubsampleNNError):
     """A binary file does not match the expected layout."""
+
+
+def _read_block(f, path, dtype, count, what) -> np.ndarray:
+    """The next count values of dtype from the binary file f. The size is
+    checked against the bytes left in the file before anything is read, so a
+    header that declares more data than the file holds raises FormatError, not
+    MemoryError."""
+    at, size = f.tell(), np.dtype(dtype).itemsize * count
+    left = os.fstat(f.fileno()).st_size - at
+    if size > left:
+        raise FormatError(f"{path}: truncated {what} at byte {at} "
+                          f"(wants {size} bytes, {left} left)")
+    return np.frombuffer(f.read(size), dtype=dtype)
 
 
 class DegenerateInputError(SubsampleNNError):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import DimensionError, FormatError, ParameterError, _read_block
 from .linalg import FLOPS, _product, matmul, require_finite, stream
 
 HIDDEN_ACTIVATIONS = ("relu", "linear")
@@ -413,16 +413,6 @@ def save_checkpoint(model: MlpModel, path, metadata: dict | None = None):
         f.write("\n")
 
 
-def _read_block(f, path, dtype, count, what) -> np.ndarray:
-    """The next count little-endian values of dtype; FormatError if the file
-    ends first."""
-    size = np.dtype(dtype).itemsize * count
-    raw = f.read(size)
-    if len(raw) != size:
-        raise FormatError(f"{path}: truncated {what}")
-    return np.frombuffer(raw, dtype=dtype)
-
-
 def load_checkpoint(path) -> MlpModel:
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -432,11 +422,15 @@ def load_checkpoint(path) -> MlpModel:
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         dims = _read_block(f, path, "<u4", n_dims, "layer dims").tolist()
+        if n_dims < 2 or 0 in dims:
+            raise FormatError(f"{path}: layer dims {dims} describe no model")
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             weights.append(_read_block(f, path, "<f8", fan_in * fan_out, "weight block")
                            .reshape(fan_in, fan_out))
             biases.append(_read_block(f, path, "<f8", fan_out, "bias block"))
+        if f.read(1):
+            raise FormatError(f"{path}: data after the last bias block, at byte {f.tell() - 1}")
     # the activation lives only in the sidecar; a guessed one mispredicts
     sidecar = str(path) + ".json"
     try:

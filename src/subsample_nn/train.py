@@ -59,6 +59,7 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
                 grads = policy.backward(model, trace, yb)
             with FLOPS.phase("optimizer"):
                 step(optimizer, model, grads)
+            del grads  # else the next backward allocates beside this step's gradients
             seen = range(seen.stop, seen.stop + idx.size)
             with FLOPS.phase("policy_overhead"):
                 policy.on_samples_seen(model, seen)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from subsample_nn import analysis, cli
+from subsample_nn.data import synth_digits, write_idx
 from subsample_nn.errors import ParameterError
 
 
@@ -204,6 +205,25 @@ class TestTrain:
         code = run(["train", "--out", str(tmp_path / "x"),
                     "--set", "dataset.kind=idx", "--set", "epochs=0"])
         assert code == 2
+
+    def test_corrupt_idx_header_is_runtime_error(self, tmp_path):
+        # an images header declaring 2**31 images: one error line, no traceback
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(synth_digits(20, seed=0), images, labels)
+        raw = bytearray(images.read_bytes())
+        raw[4:8] = (2**31).to_bytes(4, "big")
+        images.write_bytes(bytes(raw))
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "subsample_nn.cli", "train", "--out", str(tmp_path / "run"),
+             "--set", "dataset.kind=idx", "--set", f"dataset.images={images}",
+             "--set", f"dataset.labels={labels}", "--set", "dataset.train_n=10",
+             "--set", "dataset.test_n=5", "--set", "dataset.val_n=5"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {images}: truncated data at byte 16 "
+                                            "(wants 1683627180032 bytes, 15680 left)"]
 
     def test_idx_config_defaults_to_full_scale_split(self, tmp_path):
         path = tmp_path / "idx.json"

@@ -73,6 +73,17 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="byte"):
             load_idx(trunc, trunc)
 
+    def test_header_declaring_more_than_the_file_holds(self, small_idx):
+        # 2**31 images of 28x28 would be 1.7 TB; the file holds 4 images, so
+        # the reader refuses before it allocates
+        images, labels = small_idx
+        raw = bytearray(images.read_bytes())
+        raw[4:8] = struct.pack(">I", 2**31)
+        images.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=r"truncated data at byte 16 "
+                                              r"\(wants 1683627180032 bytes, 3136 left\)"):
+            load_idx(images, labels)
+
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((3, 4, 4), dtype=np.uint8)
         img_path, _ = write_fixture_idx(tmp_path, images, [0, 1, 2])

@@ -1,5 +1,5 @@
-"""Memory bounds of the data path and of evaluation, measured with tracemalloc,
-which numpy reports its array buffers to."""
+"""Memory bounds of the data path, of evaluation and of training, measured with
+tracemalloc, which numpy reports its array buffers to."""
 
 import tracemalloc
 
@@ -8,7 +8,9 @@ import pytest
 
 from subsample_nn import cli, nn
 from subsample_nn.analysis import PREDICT_ROWS, confusion
-from subsample_nn.data import Dataset, synth_digits, write_idx
+from subsample_nn.data import Dataset, split, synth_digits, write_idx
+from subsample_nn.policies import make_policy
+from subsample_nn.train import train
 
 
 @pytest.fixture
@@ -68,3 +70,16 @@ def test_confusion_transient_does_not_grow_with_the_set(traced):
         peaks.append(transient_peak(confusion, model, ds)[0])
     # the labels grow by 8 bytes a row; the activations must not grow at all
     assert peaks[1] <= peaks[0] + 8 * 4 * PREDICT_ROWS + 4096, peaks
+
+
+@pytest.mark.parametrize("kind", ["exact", "alsh", "mc"])
+def test_train_holds_one_gradient_buffer(traced, kind):
+    # Adam's moments and scratch take 4x the parameters' bytes and one step's
+    # gradients 1x; a step's gradients still live while the next backward
+    # allocates would make it 6x
+    model = nn.init_weights([784, 128, 128, 128, 10], seed=1)
+    sp = split(synth_digits(30, seed=1), 10, 10, 10, seed=1)
+    optimizer = nn.Optimizer("adam", 1e-3)
+    peak, _ = transient_peak(train, model, sp, make_policy(kind), optimizer, 1, 1, 0)
+    parameter_bytes = model.flat.nbytes
+    assert peak < 5.6 * parameter_bytes, f"peak {peak / parameter_bytes:.2f}x the parameters"

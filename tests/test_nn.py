@@ -1,5 +1,6 @@
 import copy
 import pickle
+import struct
 import sys
 import time
 
@@ -348,4 +349,39 @@ def test_truncated_checkpoint_is_rejected(tmp_path, keep):
     save_checkpoint(model, path)
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(path)
+
+
+def write_raw_checkpoint(path, dims, n_values):
+    """A version-1 checkpoint of the given dims followed by n_values zero
+    float64s, written without the package, and a ReLU sidecar."""
+    path.write_bytes(b"MLPC" + struct.pack(f"<II{len(dims)}I", 1, len(dims), *dims)
+                     + bytes(8 * n_values))
+    path.with_name(path.name + ".json").write_text('{"activation": "relu"}')
+
+
+def test_checkpoint_declaring_more_than_the_file_holds_is_rejected(tmp_path):
+    # 200000 x 200000 weights would be 320 GB; the reader refuses before it
+    # allocates
+    path = tmp_path / "model.bin"
+    write_raw_checkpoint(path, [200000, 200000], 3)
+    with pytest.raises(FormatError, match=r"truncated weight block at byte 20 "
+                                          r"\(wants 320000000000 bytes, 24 left\)"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims,n_values", [([5], 0), ([0, 3], 3)], ids=["one-dim", "zero-dim"])
+def test_checkpoint_dims_that_describe_no_model_are_rejected(tmp_path, dims, n_values):
+    path = tmp_path / "model.bin"
+    write_raw_checkpoint(path, dims, n_values)
+    with pytest.raises(FormatError, match=r"layer dims \[.*\] describe no model"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_data_after_the_last_bias_block_is_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(random_model([5, 6, 3], seed=9), path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(FormatError, match=f"data after the last bias block, at byte {size}"):
         load_checkpoint(path)
