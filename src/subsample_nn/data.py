@@ -52,13 +52,16 @@ class Split:
 
 def _read_idx(path, magic, n_dims):
     """The n_dims header counts of one IDX file and its prod(counts) bytes, after
-    its magic; FormatError if the magic differs or the file is short."""
+    its magic; FormatError if the magic differs or the file is short or long."""
     with open(path, "rb") as f:
         found = int(_read_block(f, path, ">u4", 1, "magic")[0])
         if found != magic:
             raise FormatError(f"{path}: bad magic 0x{found:08x} at byte 0")
         counts = _read_block(f, path, ">u4", n_dims, "header").tolist()
-        return counts, _read_block(f, path, np.uint8, math.prod(counts), "data")
+        data = _read_block(f, path, np.uint8, math.prod(counts), "data")
+        if f.read(1):
+            raise FormatError(f"{path}: bytes after the declared data, at byte {f.tell() - 1}")
+        return counts, data
 
 
 def load_idx(images_path, labels_path) -> Dataset:

@@ -14,18 +14,21 @@ views of it. Gradients use the same layout, and backward writes each weight
 and bias gradient straight into its view. The optimizer step runs on the
 whole buffer at once: the Adam step updates the moments and parameters in
 place, one equal contiguous slice per CPU of the process's affinity mask, on
-the calling thread and a pool of one thread per further CPU (numpy releases
-the GIL inside each ufunc). The pool is created on the first step and again
-in a forked child. The update is elementwise, so its bytes do not depend on
-the number of threads.
+the calling thread and one worker thread per further CPU (numpy releases the
+GIL inside each ufunc). Each worker takes its slice of a step from its own
+queue; the workers are started on the first step and again in a forked child.
+The update is elementwise, so its bytes do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import queue
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -315,12 +318,14 @@ class Optimizer:
 class _AdamState:
     """Adam's moments m and v and two scratch arrays s and r, each laid out
     like the parameters' flat buffer and cut into one contiguous slice per
-    thread: slices[j] is (lo, hi, m, v, s, r) for elements lo:hi. The pool
-    runs every slice but the last and belongs to the process pid."""
+    thread: slices[j] is (lo, hi, m, v, s, r) for elements lo:hi. Worker j
+    takes slice j from its queue jobs[j] and answers on done; the calling
+    thread runs the last slice. The workers belong to the process pid."""
 
     size: int
     slices: list
-    pool: ThreadPoolExecutor | None = None
+    jobs: list = field(default_factory=list)
+    done: queue.SimpleQueue | None = None
     pid: int | None = None
 
 
@@ -342,11 +347,26 @@ def _ensure_adam_state(opt: Optimizer, size: int, threads=None) -> _AdamState:
     return opt._adam
 
 
+def _adam_worker(jobs, done):
+    """Run _adam_slice on each job from jobs until a None, answering on done
+    with None or the exception it raised."""
+    while (job := jobs.get()) is not None:
+        try:
+            _adam_slice(*job)
+            answer = None
+        except Exception as exc:  # step re-raises it on the calling thread
+            answer = exc
+        del job  # views of the step's buffers, which must not outlive the step
+        done.put(answer)
+
+
 def _adam_slice(p, g, m, v, s, r, eta, bias1, bias2):
     """Adam on one slice, in place, with the rounding of m = m*b1 + (1-b1)*g,
     v = v*b2 + ((1-b2)*g)*g and p -= (eta*(m/bias1)) / (sqrt(v/bias2)+eps).
     Every operation is elementwise, so neither the slices nor the threads
-    change a bit. Runs on worker threads: numpy only, no FLOPS."""
+    change a bit. From step 356 on, bias1 is exactly 1.0 and m / bias1 is m,
+    so that division is skipped. Runs on worker threads: numpy only, no
+    FLOPS."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     np.multiply(m, b1, out=m)
     np.multiply(g, 1.0 - b1, out=s)
@@ -355,8 +375,11 @@ def _adam_slice(p, g, m, v, s, r, eta, bias1, bias2):
     np.multiply(g, 1.0 - b2, out=s)
     np.multiply(s, g, out=s)
     np.add(v, s, out=v)
-    np.divide(m, bias1, out=s)
-    np.multiply(s, eta, out=s)
+    if bias1 == 1.0:
+        np.multiply(m, eta, out=s)
+    else:
+        np.divide(m, bias1, out=s)
+        np.multiply(s, eta, out=s)
     np.divide(v, bias2, out=r)
     np.sqrt(r, out=r)
     np.add(r, ADAM_EPS, out=r)
@@ -382,15 +405,25 @@ def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
     t = optimizer.step_count
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    work = [(p[lo:hi], g[lo:hi], *moments) for lo, hi, *moments in state.slices]
+    work = [(p[lo:hi], g[lo:hi], *moments, eta, bias1, bias2)
+            for lo, hi, *moments in state.slices]
     if len(work) > 1 and state.pid != os.getpid():
-        # a forked child inherits the pool but not its threads
-        state.pool = ThreadPoolExecutor(len(work) - 1)
-        state.pid = os.getpid()
-    futures = [state.pool.submit(_adam_slice, *w, eta, bias1, bias2) for w in work[:-1]]
-    _adam_slice(*work[-1], eta, bias1, bias2)
-    for future in futures:
-        future.result()
+        # the first step, or the first in a forked child, which inherits the
+        # queues but not the threads
+        state.jobs = [queue.SimpleQueue() for _ in work[:-1]]
+        state.done, state.pid = queue.SimpleQueue(), os.getpid()
+        for jobs in state.jobs:
+            threading.Thread(target=_adam_worker, args=(jobs, state.done), daemon=True).start()
+            weakref.finalize(state, jobs.put, None)  # the worker ends with its state
+    for jobs, job in zip(state.jobs, work):
+        jobs.put(job)
+    try:
+        _adam_slice(*work[-1])
+    finally:
+        answers = [state.done.get() for _ in state.jobs]
+    for answer in answers:
+        if answer is not None:
+            raise answer
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,23 @@ class TestTrain:
         assert proc.stderr.splitlines() == [f"error: {images}: truncated data at byte 16 "
                                             "(wants 1683627180032 bytes, 15680 left)"]
 
+    def test_idx_with_bytes_after_its_labels_is_runtime_error(self, tmp_path):
+        # 20 labels end at byte 28; a longer file is not loaded truncated
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(synth_digits(20, seed=0), images, labels)
+        labels.write_bytes(labels.read_bytes() + bytes([1, 2, 3]))
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "subsample_nn.cli", "train", "--out", str(tmp_path / "run"),
+             "--set", "dataset.kind=idx", "--set", f"dataset.images={images}",
+             "--set", f"dataset.labels={labels}", "--set", "dataset.train_n=10",
+             "--set", "dataset.test_n=5", "--set", "dataset.val_n=5"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {labels}: bytes after the declared data, "
+                                            "at byte 28"]
+
     def test_idx_config_defaults_to_full_scale_split(self, tmp_path):
         path = tmp_path / "idx.json"
         path.write_text(json.dumps({"dataset": {"kind": "idx",
@@ -317,7 +334,7 @@ class TestSweep:
         assert (out / "architecture.hidden_layers-2" / "summary.json").exists()
 
     def test_sweep_after_in_process_training_does_not_hang(self, blob_config, tmp_path):
-        # The process holds an optimizer whose step pool has started threads
+        # The process holds an optimizer whose Adam step has started threads
         # and runs a sweep; a child forked after both also steps it.
         script = textwrap.dedent(f"""
             import os

@@ -1,3 +1,4 @@
+import re
 import struct
 from itertools import product
 
@@ -72,6 +73,16 @@ class TestLoadIdx:
         trunc.write_bytes(struct.pack(">IIII", 0x00000803, 10, 28, 28) + b"\x00" * 50)
         with pytest.raises(FormatError, match="byte"):
             load_idx(trunc, trunc)
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_bytes_after_the_declared_data(self, small_idx, which):
+        # 4 images of 28x28 end at byte 16 + 3136; 4 labels at byte 8 + 4
+        images, labels = small_idx
+        path, end = (images, 3152) if which == "images" else (labels, 12)
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: bytes after the declared "
+                                                        f"data, at byte {end}")):
+            load_idx(images, labels)
 
     def test_header_declaring_more_than_the_file_holds(self, small_idx):
         # 2**31 images of 28x28 would be 1.7 TB; the file holds 4 images, so

@@ -3,9 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from subsample_nn.errors import DimensionError, ParameterError
-from subsample_nn.linalg import (FLOPS, _product, col_norms, matmul, rng_choice_weighted,
-                                 row_norms, stream)
+from subsample_nn.errors import DimensionError, NumericError, ParameterError
+from subsample_nn.linalg import (FLOPS, _product, as_matrix, col_norms, matmul,
+                                 rng_choice_weighted, row_norms, stream)
 
 
 def naive_matmul(a, b):
@@ -66,6 +66,49 @@ class TestMatmul:
         product = _product(a, b)
         assert product.shape == (n, p)
         assert product.tobytes() == (a @ b).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_inner_dimension_one_rejects_a_non_finite_factor(self, bad, side):
+        a, b = np.ones((784, 1)), np.zeros((1, 128))  # NaN or inf times 0 is NaN
+        (a if side == "a" else b)[0, 0] = bad
+        with pytest.raises(NumericError, match="matmul result contains NaN or Inf"):
+            matmul(a, b)
+
+    def test_inner_dimension_one_rejects_overflow(self):
+        a, b = np.full((3, 1), 1e-3), np.full((1, 4), 1e-3)
+        a[2, 0], b[0, 1] = 1e200, 1e200
+        with pytest.raises(NumericError, match="matmul result contains NaN or Inf"):
+            matmul(a, b)
+        a[2, 0] = 1e100  # 1e300 is finite
+        assert np.isfinite(matmul(a, b)).all()
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((0, 1), (1, 5)), ((5, 1), (1, 0))])
+    def test_inner_dimension_one_with_an_empty_factor_passes(self, a_shape, b_shape):
+        product = matmul(np.ones(a_shape), np.ones(b_shape))
+        assert product.shape == (a_shape[0], b_shape[1])
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("shape", [(128, 128), (128, 150), (192, 200), (128, 784),
+                                       (784, 128), (10, 128), (128, 20), (1, 130),
+                                       (130, 1), (100, 37)])
+    def test_transposed_operand_copies_to_the_same_bytes(self, shape):
+        x = stream(4, "as-matrix", *shape).standard_normal(shape[::-1]).T
+        m = as_matrix(x)
+        assert m.flags.c_contiguous and m.shape == shape
+        assert m.tobytes() == np.ascontiguousarray(x).tobytes()
+
+    def test_strided_and_integer_operands(self):
+        x = np.arange(256 * 256).reshape(256, 256)
+        for operand in (x.T, x[::2, ::3].T, x.astype(np.float64)[:, ::2]):
+            m = as_matrix(operand)
+            assert m.flags.c_contiguous and m.dtype == np.float64
+            assert m.tobytes() == np.ascontiguousarray(operand, dtype=np.float64).tobytes()
+
+    def test_contiguous_operand_is_not_copied(self):
+        x = np.ones((128, 128))
+        assert as_matrix(x) is x
 
 
 class TestVecmat:

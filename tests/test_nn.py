@@ -1,8 +1,11 @@
 import copy
 import pickle
 import struct
+import gc
 import sys
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -198,11 +201,11 @@ class TestOptimizers:
             Optimizer("momentum", 0.1)
 
     @staticmethod
-    def _adam_against_reference(threads, steps=50):
+    def _adam_against_reference(threads, steps=50, dims=(784, 128, 128, 128, 10)):
         """Run `steps` threaded Adam steps and the reference expression side by
         side; return (updated, reference) parameter lists and the state."""
         eta, b1, b2 = 1e-3, nn.ADAM_BETA1, nn.ADAM_BETA2
-        model = init_weights([784, 128, 128, 128, 10], seed=6)
+        model = init_weights(list(dims), seed=6)
         params = [a.copy() for pair in zip(model.weights, model.biases) for a in pair]
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
         opt = Optimizer("adam", eta)
@@ -229,7 +232,15 @@ class TestOptimizers:
         for got, want in zip(updated, reference):
             assert got.tobytes() == want.tobytes()
         assert len(state.slices) == threads
-        assert (state.pool is None) == (threads == 1)
+        assert len(state.jobs) == threads - 1
+
+    def test_adam_matches_reference_once_bias1_is_one(self):
+        # from step 356 on 1 - 0.9**t rounds to 1.0 and the step skips m / bias1
+        assert 1.0 - nn.ADAM_BETA1**355 < 1.0
+        assert 1.0 - nn.ADAM_BETA1**356 == 1.0
+        updated, reference, _ = self._adam_against_reference(2, steps=400, dims=(40, 16, 10))
+        for got, want in zip(updated, reference):
+            assert got.tobytes() == want.tobytes()
 
     def test_adam_threads_beyond_cpus_under_frequent_switches(self):
         # more threads than CPUs, with the interpreter switching threads as
@@ -245,6 +256,61 @@ class TestOptimizers:
             sys.setswitchinterval(interval)
         for got, want in zip(updated, reference):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_adam_slice_error_reaches_the_caller_and_the_next_step_runs(self, monkeypatch,
+                                                                        failing):
+        model = random_model([3, 4, 2], seed=5)
+        grads = backward(model, forward(model, np.ones(3)), 0)
+        opt = Optimizer("adam", 1e-3)
+        nn._ensure_adam_state(opt, model.flat.size, threads=3)
+        adam_slice = nn._adam_slice
+
+        def fail_on_one_side(*job):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == (failing == "worker"):
+                raise FloatingPointError(f"{failing} slice")
+            adam_slice(*job)
+
+        monkeypatch.setattr(nn, "_adam_slice", fail_on_one_side)
+        with pytest.raises(FloatingPointError, match=f"{failing} slice"):
+            step(opt, model, grads)
+        monkeypatch.undo()
+        before = model.flat.copy()
+        stepper = threading.Thread(target=step, args=(opt, model, grads), daemon=True)
+        stepper.start()
+        stepper.join(timeout=30)
+        assert not stepper.is_alive()
+        # all three slices moved, so every worker ran and answered once
+        for part in np.array_split(model.flat != before, 3):
+            assert part.all()
+
+    def test_adam_step_holds_no_gradient_buffer(self):
+        # the workers drop their jobs, views of a step's buffers, before they
+        # answer; one that kept its job would keep the previous gradients
+        model = init_weights([40, 16, 10], seed=1)
+        opt = Optimizer("adam", 1e-3)
+        nn._ensure_adam_state(opt, model.flat.size, threads=3)
+        for _ in range(3):
+            grads = backward(model, forward(model, np.ones(40)), 0)
+            step(opt, model, grads)
+            buffer = weakref.ref(grads.flat)
+            del grads
+            assert buffer() is None
+
+    def test_adam_workers_end_with_their_optimizer(self):
+        model = init_weights([40, 16, 10], seed=1)
+        opt = Optimizer("adam", 1e-3)
+        nn._ensure_adam_state(opt, model.flat.size, threads=3)
+        before = set(threading.enumerate())
+        step(opt, model, backward(model, forward(model, np.ones(40)), 0))
+        workers = set(threading.enumerate()) - before
+        assert len(workers) == 2
+        del opt
+        gc.collect()
+        for worker in workers:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("rebind", ["model-weight", "model-bias", "grad-weight",
