@@ -82,6 +82,8 @@ def write_idx(ds: Dataset, images_path, labels_path, rows=28, cols=28):
     """Write a Dataset back to an IDX pair (features are quantized to bytes)."""
     if ds.features.shape[1] != rows * cols:
         raise ParameterError(f"features have {ds.features.shape[1]} columns, expected {rows * cols}")
+    if (ds.labels > 255).any():
+        raise ParameterError(f"label {ds.labels.max()} does not fit an IDX label byte (0..255)")
     pixels = np.clip(np.rint(ds.features * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGES_MAGIC, len(ds), rows, cols))

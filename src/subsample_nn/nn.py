@@ -9,8 +9,8 @@ log-softmax and the loss is mean negative log-likelihood, so the output-layer
 delta is (softmax(z) - onehot) / batch.
 
 A model keeps all its weights and biases in one contiguous float64 buffer,
-`flat`, in layer order (w0, b0, w1, b1, ...); weights[k] and biases[k] are
-views of it. Gradients use the same layout, and backward writes each weight
+`flat`, in layer order (w0, b0, w1, b1, ...); weights and biases are tuples
+of its views. Gradients use the same layout, and backward writes each weight
 and bias gradient straight into its view. The optimizer step runs on the
 whole buffer at once: the Adam step updates the moments and parameters in
 place, one equal contiguous slice per CPU of the process's affinity mask, on
@@ -49,35 +49,27 @@ def _parameters(weights, biases):
 class _FlatParameters:
     """weights[k] and biases[k] as views of one float64 buffer, `flat`, in
     layer order (w0, b0, w1, b1, ...). Construction copies the given arrays
-    into a new buffer. The lists stay plain lists, so an entry can still be
-    rebound to another array, which step would then not see; step refuses
-    such a container instead of skipping the entry."""
+    into a new buffer. weights and biases are tuples, and neither they nor
+    flat can be rebound once laid out, so step never updates a buffer that
+    no longer backs the entries: write into the arrays instead."""
 
     def _lay_out(self, fill=True):
         arrays = _parameters(self.weights, self.biases)
-        self._flat = np.empty(sum(a.size for a in arrays))
+        flat = np.empty(sum(a.size for a in arrays))
         views, at = [], 0
         for a in arrays:
-            view = self._flat[at : at + a.size].reshape(a.shape)
+            view = flat[at : at + a.size].reshape(a.shape)
             if fill:
                 view[...] = a
             views.append(view)
             at += a.size
-        self.weights, self.biases = views[0::2], views[1::2]
-        self._views = views
+        self.weights, self.biases = tuple(views[0::2]), tuple(views[1::2])
+        self.flat = flat
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self._flat
-
-    def _checked_flat(self, what) -> np.ndarray:
-        """flat, after checking that every list entry is still its view."""
-        entries = _parameters(self.weights, self.biases)
-        if len(entries) != len(self._views) or any(e is not v for e, v in
-                                                   zip(entries, self._views)):
-            raise ParameterError(f"{what}: a weights or biases entry was rebound; "
-                                 "entries are views of one buffer, so write into them")
-        return self._flat
+    def __setattr__(self, name, value):
+        if name in ("weights", "biases", "flat") and "flat" in vars(self):
+            raise AttributeError(f"{name} is laid out in flat and cannot be rebound")
+        object.__setattr__(self, name, value)
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, so the copy's
@@ -88,8 +80,8 @@ class _FlatParameters:
 @dataclass
 class MlpModel(_FlatParameters):
     layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     hidden_activation: str = "relu"
 
     def __post_init__(self):
@@ -122,14 +114,13 @@ class MlpModel(_FlatParameters):
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre-activations and activations; activations[0] is the input batch.
+    """Per-layer activations; activations[0] is the input batch, [-1] the output.
 
     masks[k] is a boolean (batch, width) array over the nodes of hidden layer k
     that a node-selecting pass kept; scales[k] is the factor kept activations
     were multiplied by. Both are None for an exact pass.
     """
 
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     masks: list[np.ndarray] | None = None
     scales: list | None = None
@@ -145,8 +136,8 @@ class ForwardTrace:
 
 @dataclass
 class Gradients(_FlatParameters):
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         self._lay_out()
@@ -208,10 +199,13 @@ def forward(model: MlpModel, x, select=None) -> ForwardTrace:
     product, which is then computed here. The product is charged 2 * fan_in
     per kept entry either way; a selector that computed z charges the skipped
     share itself. Masked-out nodes are exactly zero; kept activations are
-    multiplied by scale. The output layer is always exact.
+    multiplied by scale, which must be at least 1 on every kept node (dropout's
+    1/p_keep, adaptive dropout's 1/probs, ALSH's 1.0): a kept activation is
+    then positive exactly where its pre-activation is, so backward reads the
+    ReLU derivative from the activation. The output layer is always exact.
     """
     a = _as_batch(x, model.n_inputs)
-    pre, acts = [], [a]
+    acts = [a]
     masks, scales = (None, None) if select is None else ([], [])
     last = model.n_layers - 1
     for k in range(model.n_layers):
@@ -231,10 +225,9 @@ def forward(model: MlpModel, x, select=None) -> ForwardTrace:
             a = apply_hidden(z, model.hidden_activation)
         else:
             a = np.where(mask, apply_hidden(z, model.hidden_activation) * scale, 0.0)
-        pre.append(z)
         acts.append(a)
     require_finite(acts[-1], "forward output")
-    return ForwardTrace(pre, acts, masks, scales)
+    return ForwardTrace(acts, masks, scales)
 
 
 def _as_targets(targets, n_outputs, batch) -> np.ndarray:
@@ -287,8 +280,7 @@ def backward(model: MlpModel, trace: ForwardTrace, targets, product=None) -> Gra
         delta.sum(axis=0, out=grads.biases[k])
         if k > 0:
             upstream = product(k, delta, model.weights[k].T, None)
-            delta = upstream * hidden_derivative(trace.pre_activations[k - 1],
-                                                 model.hidden_activation)
+            delta = upstream * hidden_derivative(trace.activations[k], model.hidden_activation)
             if trace.masks is not None:
                 delta = delta * trace.scales[k - 1]
                 delta[~trace.masks[k - 1]] = 0.0
@@ -310,8 +302,8 @@ class Optimizer:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ParameterError(f"unknown optimizer {self.kind!r}")
-        if not self.learning_rate > 0:
-            raise ParameterError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ParameterError("learning rate must be positive and finite")
 
 
 @dataclass
@@ -393,8 +385,7 @@ def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
     if ([g.shape for g in _parameters(grads.weights, grads.biases)]
             != [p.shape for p in _parameters(model.weights, model.biases)]):
         raise DimensionError("gradient shapes do not match the parameters")
-    p = model._checked_flat("model")
-    g = grads._checked_flat("gradients")
+    p, g = model.flat, grads.flat
     if optimizer.kind == "sgd":
         p -= eta * g
         optimizer.step_count += 1

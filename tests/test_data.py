@@ -119,6 +119,14 @@ class TestLoadIdx:
             back.features, np.rint(ds.features * 255) / 255.0)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    def test_write_refuses_label_above_a_byte(self, tmp_path):
+        # a uint8 cast would wrap 256 to 0 and 299 to 43
+        ds = Dataset(np.zeros((3, 784)), np.array([0, 256, 299]), 300)
+        img, lab = tmp_path / "w.idx", tmp_path / "wl.idx"
+        with pytest.raises(ParameterError, match="256|299"):
+            write_idx(ds, img, lab)
+        assert not img.exists() and not lab.exists()
+
 
 class TestSplit:
     def make_ds(self, n=100):

@@ -75,8 +75,8 @@ class TestForward:
         model = MlpModel([3, 4, 2], [w1, w2], [b1, b2], hidden_activation="linear")
         x = rng.standard_normal(3)
         trace = forward(model, x)
-        expected = (x @ w1 + b1) @ w2 + b2
-        np.testing.assert_allclose(trace.pre_activations[-1][0], expected, atol=1e-12)
+        expected = nn.log_softmax(((x @ w1 + b1) @ w2 + b2)[None, :])
+        np.testing.assert_allclose(trace.output[0], expected[0], atol=1e-12)
 
     def test_relu_propagation(self):
         w = np.array([[1.0, 1.0]])
@@ -126,6 +126,17 @@ class TestBackward:
         num_w, num_b = finite_difference_grads(model, x, target)
         assert max_relative_error(grads.weights, num_w) <= 1e-4
         assert max_relative_error(grads.biases, num_b) <= 1e-4
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0, 100.0])
+    def test_relu_derivative_read_from_kept_activation(self, scale):
+        # backward reads the derivative from the activation forward stored,
+        # relu(z) * scale on kept nodes; a scale >= 1 keeps its sign pattern
+        z = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, np.inf, -np.inf])
+        z = np.stack([z, z])
+        mask = np.stack([np.ones(7, bool), np.arange(7) % 2 == 0])
+        a = np.where(mask, nn.apply_hidden(z, "relu") * scale, 0.0)
+        np.testing.assert_array_equal(nn.hidden_derivative(a, "relu")[mask],
+                                      nn.hidden_derivative(z, "relu")[mask])
 
     def test_zero_input_sample(self):
         model = random_model([4, 3, 2], seed=5)
@@ -199,6 +210,12 @@ class TestOptimizers:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             Optimizer("momentum", 0.1)
+
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, np.inf, np.nan])
+    def test_learning_rate_positive_and_finite(self, rate):
+        # an infinite rate would make every parameter non-finite in one step
+        with pytest.raises(ParameterError, match="learning rate"):
+            Optimizer("sgd", rate)
 
     @staticmethod
     def _adam_against_reference(threads, steps=50, dims=(784, 128, 128, 128, 10)):
@@ -321,10 +338,14 @@ class TestOptimizers:
         model = random_model([3, 4, 2], seed=5)
         grads = backward(model, forward(model, np.ones(3)), 0)
         owner = model if rebind.startswith("model") else grads
-        entries = owner.weights if rebind.endswith("weight") else owner.biases
-        entries[1] = entries[1].copy()
-        with pytest.raises(ParameterError, match="rebound"):
-            step(Optimizer(kind, 1e-3), model, grads)
+        name = "weights" if rebind.endswith("weight") else "biases"
+        entries = getattr(owner, name)
+        with pytest.raises(TypeError):
+            entries[1] = entries[1].copy()
+        with pytest.raises(AttributeError):
+            setattr(owner, name, tuple(e.copy() for e in entries))
+        step(Optimizer(kind, 1e-3), model, grads)
+        assert all(np.shares_memory(e, owner.flat) for e in entries)
 
     def test_copies_own_their_buffer(self):
         model = random_model([3, 4, 2], seed=5)
@@ -348,7 +369,7 @@ class TestOptimizers:
         for kind in ("sgd", "adam"):
             model = random_model([3, 4, 2], seed=5)
             grads = backward(model, forward(model, np.ones(3)), 0)
-            grads.weights[0] = grads.weights[0][:1]
+            grads = nn.Gradients((grads.weights[0][:1], grads.weights[1]), grads.biases)
             with pytest.raises(DimensionError):
                 step(Optimizer(kind, 1e-3), model, grads)
 

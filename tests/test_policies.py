@@ -327,7 +327,7 @@ class TestMcBackprop:
         exact = nn.backward(model, trace, targets)
         delta_out = nn.output_delta(trace, targets)
         upstream = delta_out @ model.weights[1].T
-        delta1 = upstream * nn.hidden_derivative(trace.pre_activations[0], "relu")
+        delta1 = upstream * nn.hidden_derivative(trace.activations[1], "relu")
         probs_dw1 = mc.optimal_probs_bernoulli(trace.activations[1].T, delta_out, 2)
         probs_dw0 = mc.optimal_probs_bernoulli(trace.activations[0].T, delta1, 2)
 
