@@ -3,8 +3,10 @@
 forward and backward are the only per-layer loops in the package, and the only
 place masked products are charged (2 * fan_in per kept node). They run exactly
 by default; compute policies pass a node selector to forward, and MC backprop
-a product function to backward (see policies.py). Activations are batched
-row-wise: a (b, n) array holds b samples. The output layer always applies
+a product function to backward (see policies.py). A selector's keep array, 0
+on a dropped node and its scale on a kept one, is stored in the trace, and
+forward and backward multiply by it. Activations are batched row-wise: a
+(b, n) array holds b samples. The output layer always applies
 log-softmax and the loss is mean negative log-likelihood, so the output-layer
 delta is (softmax(z) - onehot) / batch.
 
@@ -107,23 +109,17 @@ class MlpModel(_FlatParameters):
     def n_inputs(self):
         return self.layer_dims[0]
 
-    @property
-    def n_outputs(self):
-        return self.layer_dims[-1]
-
 
 @dataclass
 class ForwardTrace:
     """Per-layer activations; activations[0] is the input batch, [-1] the output.
 
-    masks[k] is a boolean (batch, width) array over the nodes of hidden layer k
-    that a node-selecting pass kept; scales[k] is the factor kept activations
-    were multiplied by. Both are None for an exact pass.
+    keeps[k] is the (batch, width) keep array a node-selecting pass applied to
+    hidden layer k, 0.0 on a dropped node; keeps is None for an exact pass.
     """
 
     activations: list[np.ndarray]
-    masks: list[np.ndarray] | None = None
-    scales: list | None = None
+    keeps: list[np.ndarray] | None = None
 
     @property
     def output(self) -> np.ndarray:
@@ -195,39 +191,34 @@ def forward(model: MlpModel, x, select=None) -> ForwardTrace:
     """Forward pass over a sample or batch; exact unless `select` is given.
 
     select(k, a) picks the kept nodes of hidden layer k from its input batch a
-    and returns (mask, scale, z). z is None when the mask is chosen before the
-    product, which is then computed here. The product is charged 2 * fan_in
-    per kept entry either way; a selector that computed z charges the skipped
-    share itself. Masked-out nodes are exactly zero; kept activations are
-    multiplied by scale, which must be at least 1 on every kept node (dropout's
-    1/p_keep, adaptive dropout's 1/probs, ALSH's 1.0): a kept activation is
-    then positive exactly where its pre-activation is, so backward reads the
-    ReLU derivative from the activation. The output layer is always exact.
+    and returns (keep, z). keep is a (batch, width) float array: 0.0 on a
+    dropped node, at least 1 on a kept one (dropout's 1/p_keep, adaptive
+    dropout's 1/probs, ALSH's 1.0). z is the pre-activation if the selector
+    computed it, else None and the product is computed here; it is charged
+    2 * fan_in per kept entry either way, and a selector that computed z
+    charges the skipped share itself. A dropped node's activation is exactly +0.0, whatever its
+    pre-activation; a kept one is multiplied by its keep entry, so it is
+    positive exactly where its pre-activation is and backward reads the ReLU
+    derivative from the activation. The output layer is always exact.
     """
     a = _as_batch(x, model.n_inputs)
     acts = [a]
-    masks, scales = (None, None) if select is None else ([], [])
-    last = model.n_layers - 1
-    for k in range(model.n_layers):
+    keeps = None if select is None else []
+    for k in range(model.n_layers - 1):
         w, b = model.weights[k], model.biases[k]
-        if select is None or k == last:
-            z = matmul(a, w) + b
+        if select is None:
+            a = apply_hidden(matmul(a, w) + b, model.hidden_activation)
         else:
-            mask, scale, z = select(k, a)
-            FLOPS.add(2 * w.shape[0] * int(mask.sum()))
+            keep, z = select(k, a)
+            FLOPS.add(2 * w.shape[0] * np.count_nonzero(keep))
             if z is None:
-                z = np.where(mask, a @ w + b, 0.0)
-            masks.append(mask)
-            scales.append(scale)
-        if k == last:
-            a = log_softmax(z)
-        elif select is None:
-            a = apply_hidden(z, model.hidden_activation)
-        else:
-            a = np.where(mask, apply_hidden(z, model.hidden_activation) * scale, 0.0)
+                z = a @ w + b
+            a = np.where(keep != 0, apply_hidden(z, model.hidden_activation) * keep, 0.0)
+            keeps.append(keep)
         acts.append(a)
+    acts.append(log_softmax(matmul(a, model.weights[-1]) + model.biases[-1]))
     require_finite(acts[-1], "forward output")
-    return ForwardTrace(acts, masks, scales)
+    return ForwardTrace(acts, keeps)
 
 
 def _as_targets(targets, n_outputs, batch) -> np.ndarray:
@@ -263,13 +254,13 @@ def backward(model: MlpModel, trace: ForwardTrace, targets, product=None) -> Gra
     out None, into a new array; it returns the product. The default is the
     exact product, charged in full, except for a hidden layer the trace
     masked: both of its products touch fan_in terms per kept node, and only
-    those are charged. Nodes the trace masked out pass no delta back, and
-    kept ones carry the trace's scale.
+    those are charged. The delta of a hidden node is multiplied by its keep
+    entry, and is exactly +0.0 on a node the trace dropped.
     """
     def exact(k, a, b, out):
-        if trace.masks is None or k == model.n_layers - 1:
+        if trace.keeps is None or k == model.n_layers - 1:
             return matmul(a, b, out)
-        FLOPS.add(2 * model.weights[k].shape[0] * int(trace.masks[k].sum()))
+        FLOPS.add(2 * model.weights[k].shape[0] * np.count_nonzero(trace.keeps[k]))
         return _product(a, b, out)
 
     product = product or exact
@@ -281,9 +272,9 @@ def backward(model: MlpModel, trace: ForwardTrace, targets, product=None) -> Gra
         if k > 0:
             upstream = product(k, delta, model.weights[k].T, None)
             delta = upstream * hidden_derivative(trace.activations[k], model.hidden_activation)
-            if trace.masks is not None:
-                delta = delta * trace.scales[k - 1]
-                delta[~trace.masks[k - 1]] = 0.0
+            if trace.keeps is not None:
+                keep = trace.keeps[k - 1]
+                delta = np.where(keep != 0, delta * keep, 0.0)
     return grads
 
 
@@ -427,9 +418,7 @@ def save_checkpoint(model: MlpModel, path, metadata: dict | None = None):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(model.layer_dims)))
         f.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
-        for w, b in zip(model.weights, model.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(model.flat.astype("<f8", copy=False).tobytes())  # w0, b0, w1, b1, ...
     sidecar = {"activation": model.hidden_activation}
     sidecar.update(metadata or {})
     with open(str(path) + ".json", "w") as f:
@@ -460,7 +449,9 @@ def load_checkpoint(path) -> MlpModel:
     try:
         with open(sidecar) as f:
             activation = json.load(f)["activation"]
-    except (OSError, KeyError):
-        raise FormatError(f"{path}: metadata sidecar {sidecar} is missing or "
-                          "names no activation") from None
+    except (OSError, ValueError, KeyError, TypeError):  # ValueError: not JSON
+        activation = None
+    if activation not in HIDDEN_ACTIVATIONS:
+        raise FormatError(f"{path}: metadata sidecar {sidecar} is missing, is not a JSON "
+                          f"object or names no hidden activation ({HIDDEN_ACTIVATIONS})")
     return MlpModel(dims, weights, biases, activation)

@@ -3,11 +3,12 @@
 Every policy reaches nn through ComputePolicy's forward and backward, which
 pass on at most one function each. A node-selecting policy (dropout, adaptive
 dropout, hash-based active-node selection) defines `_layer_mask`, nn.forward's
-selector: a hidden layer computes only its kept nodes, the rest are exactly
-zero for the step, and gradients flow only through kept nodes. The
-Monte-Carlo policy defines `_sampled_product`, nn.backward's product: the
-forward pass is exact and each backprop matrix product is a Bernoulli-sampled
-estimate. The output layer is always computed exactly under every policy.
+selector, which returns a keep array, 0.0 on a dropped node and at least 1 on
+a kept one: a hidden layer computes only its kept nodes, the rest are exactly
+zero for the step, and gradients flow only through kept nodes. The Monte-Carlo
+policy defines `_sampled_product`, nn.backward's product: the forward pass is
+exact and each backprop matrix product is a Bernoulli-sampled estimate. The
+output layer is always computed exactly under every policy.
 
 FLOP accounting: nn.forward and nn.backward charge masked hidden-layer
 products 2 * fan_in per kept node (skipped nodes cost nothing) and products
@@ -69,8 +70,8 @@ class ComputePolicy:
     forward and backward pass on `_layer_mask` and `_sampled_product`."""
 
     name = "exact"
-    # (model, k, a_prev) -> (mask, scale, z) for hidden layer k; z is None when
-    # the mask is chosen before the product, which nn.forward then computes
+    # (model, k, a_prev) -> (keep, z) for hidden layer k, as nn.forward's
+    # selector; z is None when keep is chosen before the product
     _layer_mask = None
     # (k, a, b, out) -> one of layer k's backprop products, as for nn.backward
     _sampled_product = None
@@ -126,7 +127,7 @@ class DropoutPolicy(ComputePolicy):
     def _layer_mask(self, model, k, a_prev):
         width = model.layer_dims[k + 1]
         mask = self._rng.random((a_prev.shape[0], width)) < self.p_keep
-        return mask, 1.0 / self.p_keep, None
+        return mask * (1.0 / self.p_keep), None
 
 
 @dataclass(eq=False)
@@ -149,8 +150,7 @@ class AdaptiveDropoutPolicy(ComputePolicy):
         probs = adaptive_keep_probs(z, self.alpha, self.beta)
         mask = self._rng.random(z.shape) < probs
         FLOPS.add(2 * w.shape[0] * int((~mask).sum()) + 4 * z.size)
-        scale = np.where(mask, 1.0 / probs, 1.0)
-        return mask, scale, z
+        return np.where(mask, 1.0 / probs, 0.0), z
 
 
 @dataclass(eq=False)
@@ -184,21 +184,21 @@ class AlshPolicy(ComputePolicy):
 
     def on_samples_seen(self, model, seen):
         # a batch may jump past a cadence boundary; rebuild at most once per call
-        if any(alsh_mod.rebuild_schedule(s) for s in seen):
+        if self.indexes and any(alsh_mod.rebuild_schedule(s) for s in seen):
             self.indexes = [alsh_mod.rebuild_index(idx, model.weights[k].T)
                             for k, idx in enumerate(self.indexes)]
             self._counts.rebuilds += 1
 
     def _layer_mask(self, model, k, a_prev):
-        mask = np.zeros((a_prev.shape[0], model.layer_dims[k + 1]), dtype=bool)
+        keep = np.zeros((a_prev.shape[0], model.layer_dims[k + 1]))
         for row in range(a_prev.shape[0]):
             active = alsh_mod.query_active(self.indexes[k], a_prev[row])
             if active.size:
-                mask[row, active] = True
+                keep[row, active] = 1.0
             else:
                 self._counts.fallback_events += 1
-                mask[row, :] = True
-        return mask, 1.0, None
+                keep[row, :] = 1.0
+        return keep, None
 
     # prediction uses the exact network (same convention as dropout): the
     # trained weights are the deliverable, and per-sample selection noise at

@@ -52,8 +52,8 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
             xb, yb = features[idx], labels[idx]
             with FLOPS.phase("feedforward"):
                 trace = policy.forward(model, xb)
-                for mask in trace.masks or ():
-                    counts.active_fraction_sum += mask.mean(axis=1).sum()
+                for keep in trace.keeps or ():
+                    counts.active_fraction_sum += (keep != 0).mean(axis=1).sum()
                     counts.active_queries += idx.size
             with FLOPS.phase("backprop"):
                 grads = policy.backward(model, trace, yb)

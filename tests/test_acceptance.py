@@ -334,7 +334,7 @@ def test_c06_gradient_correctness():
                           [np.zeros(4), np.zeros(3)])
         alsh_policy = AlshPolicy(K=1, L=50)
         alsh_policy.bind(toy, 85, RunCounts())
-        assert alsh_policy.forward(toy, base).masks[0].all(), "toy index must saturate"
+        assert alsh_policy.forward(toy, base).keeps[0].all(), "toy index must saturate"
         results["alsh(all-active)"] = _fd_max_rel_error(toy, alsh_policy, base, 1)
         worst = max(results.values())
     ok = worst <= 1e-4 and t.seconds < 30.0

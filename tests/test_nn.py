@@ -472,3 +472,14 @@ def test_checkpoint_with_data_after_the_last_bias_block_is_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(FormatError, match=f"data after the last bias block, at byte {size}"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("sidecar", ['{not json', '[1,2]', '{"activation": "tanh"}',
+                                     '{"activation": 5}'],
+                         ids=["not-json", "list", "unknown-activation", "number"])
+def test_corrupt_checkpoint_sidecar_is_rejected(tmp_path, sidecar):
+    path = tmp_path / "model.bin"
+    save_checkpoint(random_model([5, 6, 3], seed=10), path)
+    (tmp_path / "model.bin.json").write_text(sidecar)
+    with pytest.raises(FormatError, match="model.bin.json"):
+        load_checkpoint(path)

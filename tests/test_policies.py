@@ -62,7 +62,7 @@ class TestExactPolicy:
         policy = ComputePolicy()
         trace = policy.forward(model, x)
         np.testing.assert_array_equal(trace.output, nn.forward(model, x).output)
-        assert trace.masks is None and trace.scales is None
+        assert trace.keeps is None
 
     def test_backward_matches_engine(self):
         model = nn.init_weights([5, 8, 4], seed=1)
@@ -97,7 +97,7 @@ class TestDropout:
         assert dropout_flops == exact_flops == 2 * (784 * 128 + 128 * 10 + 10 * 128)
 
     def test_masked_trace_backward_charges_kept_only(self):
-        # the engine's default product reads the trace's masks: each hidden
+        # the engine's default product reads the trace's keeps: each hidden
         # layer's products cost 2 * fan_in per kept node, the output layer's
         # are charged in full, and no delta is propagated below layer 0
         model = nn.init_weights([6, 8, 8, 3], seed=8)
@@ -105,7 +105,7 @@ class TestDropout:
         policy.bind(model, 9, RunCounts())
         x = stream(10, "x").standard_normal((4, 6))
         trace = policy.forward(model, x)
-        kept = [int(mask.sum()) for mask in trace.masks]
+        kept = [np.count_nonzero(keep) for keep in trace.keeps]
         assert 0 < kept[0] < 4 * 8 and 0 < kept[1] < 4 * 8
         expected = 2 * 6 * kept[0] + 2 * (2 * 8 * kept[1]) + 2 * (2 * 4 * 8 * 3)
         with FLOPS.phase("backprop"):
@@ -133,7 +133,7 @@ class TestDropout:
         policy.bind(model, 7, RunCounts())
         x = stream(6, "x").standard_normal((2, 6))
         trace = policy.forward(model, x)
-        mask = trace.masks[0]
+        mask = trace.keeps[0] != 0
         assert not trace.activations[1][~mask].any()
         grads = policy.backward(model, trace, [0, 2])
         dead_cols = ~mask.any(axis=0)
@@ -146,7 +146,7 @@ class TestDropout:
         policy = DropoutPolicy(p_keep=0.5)
         policy.bind(model, 1, RunCounts())
         trace = policy.forward(model, np.ones(2))
-        kept = trace.masks[0][0]
+        kept = trace.keeps[0][0] != 0
         np.testing.assert_allclose(trace.activations[1][0][kept], 2.0 / 0.5)
 
     def test_invalid_p(self):
@@ -196,7 +196,7 @@ class TestAlshPolicy:
         policy = AlshPolicy(K=1, L=50)
         policy.bind(model, 11, RunCounts())
         trace = policy.forward(model, base)
-        assert trace.masks[0].all()  # every column is active
+        assert trace.keeps[0].all()  # every column is active
         np.testing.assert_array_equal(trace.output, nn.forward(model, base).output)
 
     def test_forced_active_set_masks_gradients(self):
@@ -205,9 +205,9 @@ class TestAlshPolicy:
 
         class FixedMask(AlshPolicy):
             def _layer_mask(self, model, k, a_prev):
-                mask = np.zeros((a_prev.shape[0], 4), dtype=bool)
-                mask[:, [0, 2]] = True
-                return mask, 1.0, None
+                keep = np.zeros((a_prev.shape[0], 4))
+                keep[:, [0, 2]] = 1.0
+                return keep, None
 
         policy = FixedMask()
         policy.bind(model, 0, RunCounts())
@@ -236,7 +236,7 @@ class TestAlshPolicy:
         policy = AlshPolicy()  # defaults K=6, L=5
         policy.bind(model, 1, RunCounts())
         rng = stream(17, "x")
-        fractions = [policy.forward(model, rng.standard_normal(64)).masks[0].mean()
+        fractions = [policy.forward(model, rng.standard_normal(64)).keeps[0].mean()
                      for _ in range(20)]
         assert np.mean(fractions) < 0.5
 
@@ -253,6 +253,15 @@ class TestAlshPolicy:
         # weights unchanged, same projections: identical buckets
         assert all(np.array_equal(idx.signatures, sig)
                    for idx, sig in zip(policy.indexes, before))
+
+    def test_no_hidden_layer_means_no_rebuilds(self):
+        # a model without hidden layers has no index to rebuild
+        model = nn.init_weights([6, 3], seed=18)
+        policy = AlshPolicy()
+        counts = RunCounts()
+        policy.bind(model, 0, counts)
+        policy.on_samples_seen(model, range(1, 101))
+        assert policy.indexes == [] and counts.rebuilds == 0
 
     def test_inference_is_exact_forward(self, monkeypatch):
         # evaluation takes no policy: a bound hash policy is never queried
@@ -372,6 +381,52 @@ class TestMcBackprop:
         model = nn.init_weights([4, 3, 2], seed=0)
         with pytest.raises(ParameterError):
             McBackpropPolicy(k_samples=5).bind(model, 0, RunCounts())
+
+
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("kind,params", [("dropout", {"p_keep": 0.5}),
+                                         ("adaptive_dropout", {}), ("alsh", {})])
+def test_keep_contract(kind, params, batch, activation):
+    # a kept node's keep entry is at least 1; a dropped node's activation is
+    # exactly +0.0, also where its discarded pre-activation is negative
+    model = nn.init_weights([20, 64, 64, 3], seed=30)
+    model.hidden_activation = activation
+    policy = make_policy(kind, **params)
+    policy.bind(model, 31, RunCounts())
+    trace = policy.forward(model, stream(32, "x").standard_normal((batch, 20)))
+    assert len(trace.keeps) == 2
+    for keep, act in zip(trace.keeps, trace.activations[1:-1]):
+        assert keep.shape == act.shape == (batch, 64)
+        assert (keep[keep != 0] >= 1.0).all()
+        assert (keep == 0).any()
+        dropped = act[keep == 0]
+        assert not dropped.any() and not np.signbit(dropped).any()
+
+
+def test_dropped_node_with_infinite_preactivation_stays_zero():
+    # a selector that computed z may hand back a non-finite entry on a node it
+    # dropped; the node's activation, delta and weight-gradient column are zero
+    model = nn.init_weights([5, 4, 3], seed=33)
+
+    class InfiniteDropped(ComputePolicy):
+        def _layer_mask(self, model, k, a_prev):
+            z = a_prev @ model.weights[k] + model.biases[k]
+            z[:, 1] = np.inf
+            keep = np.ones_like(z)
+            keep[:, 1] = 0.0
+            return keep, z
+
+    policy = InfiniteDropped()
+    policy.bind(model, 0, RunCounts())
+    x = stream(34, "x").standard_normal((2, 5))
+    with np.errstate(invalid="ignore"):  # inf * 0 before the np.where picks 0
+        trace = policy.forward(model, x)
+    assert not trace.activations[1][:, 1].any()
+    assert np.isfinite(trace.output).all()
+    grads = policy.backward(model, trace, [0, 2])
+    assert not grads.weights[0][:, 1].any() and grads.biases[0][1] == 0.0
+    assert np.isfinite(grads.flat).all()
 
 
 @pytest.mark.parametrize("kind", ["dropout", "adaptive_dropout", "alsh"])
