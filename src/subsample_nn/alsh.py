@@ -31,6 +31,8 @@ class AlshParams:
     def __post_init__(self):
         if self.bits < 1 or self.tables < 1 or self.pad_terms < 1:
             raise ParameterError("bits, tables, and pad_terms must be at least 1")
+        if self.bits > 64:  # bucket ids are int64 bit patterns
+            raise ParameterError(f"bits must be at most 64, got {self.bits}")
         if not 0.0 < self.norm_bound < 1.0:
             raise ParameterError("norm_bound must lie strictly between 0 and 1")
 
@@ -45,18 +47,27 @@ class AlshIndex:
 
 
 def transform_data(w, pad_terms, scale=1.0) -> np.ndarray:
-    """Scale a stored vector into the unit ball and pad with norm powers.
+    """Scale stored vectors (a vector or a matrix of rows) into the unit ball
+    and pad each with norm powers.
 
     Appends ||w'||^(2^i) for i = 1..pad_terms where w' = w / scale. The
     scaled norm must not exceed 1, otherwise the padded tail diverges and
     the search equivalence breaks.
     """
-    w = as_vector(w) / float(scale)
-    norm = float(np.linalg.norm(w))
-    if norm > 1.0 + 1e-12:
-        raise NormBoundError(f"scaled norm {norm:.6f} exceeds 1")
-    pads = norm ** (2.0 ** np.arange(1, pad_terms + 1))
-    return np.concatenate([w, pads])
+    w = np.asarray(w, dtype=np.float64)
+    # a vector goes through as a one-row matrix: numpy's power rounds a
+    # broadcast base and a contiguous one apart, and the index broadcasts
+    rows = as_matrix(w[None] if w.ndim == 1 else w)
+    out = _padded(rows, np.linalg.norm(rows, axis=1, keepdims=True) / scale, pad_terms, scale)
+    return out[0] if w.ndim == 1 else out
+
+
+def _padded(w, norms, pad_terms, scale):
+    """Rows of w / scale, each followed by powers of its scaled norm (norms: one column)."""
+    if norms.max(initial=0.0) > 1.0 + 1e-12:  # initial: a matrix may have no rows
+        raise NormBoundError(f"scaled norm {norms.max():.6f} exceeds 1")
+    pads = norms ** (2.0 ** np.arange(1, pad_terms + 1))
+    return np.concatenate([w / scale, pads], axis=-1)
 
 
 def transform_query(a, pad_terms) -> np.ndarray:
@@ -108,17 +119,11 @@ def rebuild_index(index: AlshIndex, columns) -> AlshIndex:
 
 
 def _fill_tables(cols, params, projections):
-    norms = np.linalg.norm(cols, axis=1)
+    norms = np.linalg.norm(cols, axis=1, keepdims=True)
     FLOPS.add(2 * cols.size)
     max_norm = float(norms.max())
     scale = max_norm / params.norm_bound if max_norm > 0 else 1.0
-
-    scaled = cols / scale
-    scaled_norms = norms / scale
-    exponents = 2.0 ** np.arange(1, params.pad_terms + 1)
-    pads = scaled_norms[:, None] ** exponents[None, :]
-    transformed = np.concatenate([scaled, pads], axis=1)
-
+    transformed = _padded(cols, norms / scale, params.pad_terms, scale)
     return AlshIndex(params, cols.shape[1], scale, projections,
                      _signatures(transformed, projections))
 

@@ -77,6 +77,8 @@ def lemma1_error(model: MlpModel, x, active_sets) -> LayerErrorProfile:
 
 def random_active_sets(model: MlpModel, seed, keep_fraction=0.6):
     """Random per-layer keep masks; every node keeps at least one input."""
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ParameterError(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
     rng = stream(seed, "active-sets")
     masks = []
     for w in model.weights:

@@ -195,34 +195,24 @@ _SEGMENTS = {
 }
 
 
-def _glyph(digit, size=28):
+# (rows, cols) box of each segment, in _SEGMENTS order; strokes are 3 pixels wide
+_SEGMENT_BOXES = (
+    (slice(4, 7), slice(8, 20)),
+    (slice(4, 15), slice(8, 11)),
+    (slice(4, 15), slice(17, 20)),
+    (slice(12, 15), slice(8, 20)),
+    (slice(12, 23), slice(8, 11)),
+    (slice(12, 23), slice(17, 20)),
+    (slice(20, 23), slice(8, 20)),
+)
+
+
+def _glyph(digit):
     """Rasterize one 28x28 glyph centered with margin for shifts."""
-    img = np.zeros((size, size))
-    x0, x1 = 9, 18  # left/right stroke columns
-    y0, ym, y1 = 5, 13, 21  # top/middle/bottom stroke rows
-    t = 2  # stroke half-thickness
-    seg = _SEGMENTS[digit]
-
-    def hbar(y):
-        img[y - 1 : y + t, x0 - 1 : x1 + t] = 1.0
-
-    def vbar(x, ya, yb):
-        img[ya - 1 : yb + t, x - 1 : x + t] = 1.0
-
-    if seg[0]:
-        hbar(y0)
-    if seg[1]:
-        vbar(x0, y0, ym)
-    if seg[2]:
-        vbar(x1, y0, ym)
-    if seg[3]:
-        hbar(ym)
-    if seg[4]:
-        vbar(x0, ym, y1)
-    if seg[5]:
-        vbar(x1, ym, y1)
-    if seg[6]:
-        hbar(y1)
+    img = np.zeros((28, 28))
+    for lit, box in zip(_SEGMENTS[digit], _SEGMENT_BOXES):
+        if lit:  # boxes overlap, so unlit ones are never written
+            img[box] = 1.0
     return img
 
 

@@ -414,6 +414,8 @@ def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
 
 
 def save_checkpoint(model: MlpModel, path, metadata: dict | None = None):
+    if "activation" in (metadata or {}):  # the sidecar's activation is the model's own
+        raise ParameterError("checkpoint metadata may not set 'activation'")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(model.layer_dims)))

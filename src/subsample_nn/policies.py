@@ -38,12 +38,11 @@ from .linalg import FLOPS, as_matrix, stream
 
 
 def _stable_sigmoid(x):
-    out = np.empty_like(x)
+    # exp(-|x|) is at most 1, so neither branch overflows; negating x under
+    # the mask rather than through -np.abs(x) keeps the sign bit of a NaN
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def adaptive_keep_probs(pre_activation, alpha, beta) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 from subsample_nn.alsh import (AlshParams, _signatures, build_index,
                                collision_probability, query_active, rebuild_index,
                                rebuild_schedule, transform_data, transform_query)
-from subsample_nn.errors import NormBoundError, ParameterError
+from subsample_nn.errors import DimensionError, NormBoundError, ParameterError
 from subsample_nn.linalg import stream
 
 
@@ -70,6 +70,36 @@ class TestTransforms:
             rhs = 1.0 + m / 4.0 + wnorm ** (2.0 ** (m + 1)) \
                 - 2.0 * np.dot(a / np.linalg.norm(a), w)
             assert abs(lhs - rhs) <= 1e-12
+
+
+class TestMatrixTransform:
+    @pytest.mark.parametrize("shape", [(1, 3), (64, 32), (128, 784)])
+    def test_index_signatures_come_from_transform_data(self, shape):
+        cols = stream(shape[0], "cols").standard_normal(shape)
+        params = AlshParams()
+        idx = build_index(cols, params, seed=4)
+        expected = _signatures(transform_data(cols, params.pad_terms, idx.scale),
+                               idx.projections)
+        np.testing.assert_array_equal(idx.signatures, expected)
+
+    def test_matrix_rows_match_vector_transform(self):
+        rng = stream(11, "rows")
+        for _ in range(20):
+            m = rng.standard_normal((int(rng.integers(1, 9)), int(rng.integers(1, 40))))
+            scale = float(np.linalg.norm(m, axis=1).max()) / float(rng.uniform(0.1, 1.0))
+            pad_terms = int(rng.integers(1, 5))
+            out = transform_data(m, pad_terms, scale)
+            for i in range(m.shape[0]):
+                assert out[i].tobytes() == transform_data(m[i], pad_terms, scale).tobytes()
+
+    def test_one_row_over_the_bound_raises(self):
+        m = np.array([[0.1, 0.2], [0.3, 0.0], [0.0, 1.5]])
+        with pytest.raises(NormBoundError):
+            transform_data(m, pad_terms=3)
+
+    def test_three_dimensional_input_raises(self):
+        with pytest.raises(DimensionError):
+            transform_data(np.zeros((2, 2, 2)), pad_terms=3)
 
 
 class TestIndex:
@@ -239,5 +269,9 @@ class TestRebuildSchedule:
 def test_params_validation():
     with pytest.raises(ParameterError):
         AlshParams(bits=0)
+    for bits in (65, 70):  # int64 bucket ids would drop every bit past 64
+        with pytest.raises(ParameterError, match="at most 64"):
+            AlshParams(bits=bits)
+    assert AlshParams(bits=64).bits == 64
     with pytest.raises(ParameterError):
         AlshParams(norm_bound=1.0)

@@ -86,6 +86,12 @@ class TestLemmaRecursion:
         with pytest.raises(PreconditionError):
             lemma1_error(model, np.ones(3), all_active_sets(model))
 
+    @pytest.mark.parametrize("keep_fraction", [1.5, 0.0, -0.2, float("nan")])
+    def test_keep_fraction_outside_unit_interval_is_rejected(self, keep_fraction):
+        model = linear_model([4, 3, 2], seed=0)
+        with pytest.raises(ParameterError, match="keep_fraction"):
+            random_active_sets(model, seed=0, keep_fraction=keep_fraction)
+
 
 class TestRatioFixture:
     def test_five_of_six_active(self):

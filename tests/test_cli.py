@@ -97,6 +97,12 @@ class TestTrain:
                     "--set", "policy.kind=dropout", "--set", "policy.p_keep=0"])
         assert code == 2
 
+    def test_alsh_bits_past_64_is_usage_error(self, blob_config, tmp_path, capsys):
+        code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
+                    "--set", "policy.kind=alsh", "--set", "policy.K=65"])
+        assert code == 2
+        assert "bits must be at most 64, got 65" in capsys.readouterr().err
+
     @pytest.mark.parametrize("setting", list(WORDING))
     def test_non_numeric_setting_is_usage_error(self, blob_config, tmp_path, capsys, setting):
         code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),

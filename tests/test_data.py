@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 from itertools import product
@@ -230,6 +231,12 @@ class TestSynthDigits:
     def test_all_classes_present(self):
         ds = synth_digits(500, seed=1)
         assert set(ds.labels.tolist()) == set(range(10))
+
+    def test_glyph_atlas_digest(self):
+        atlas = np.stack([data._glyph(d) for d in range(10)])
+        assert atlas.shape == (10, 28, 28) and atlas.dtype == np.float64
+        assert hashlib.sha256(atlas.tobytes()).hexdigest() == (
+            "1c20d7b2d3bf94cc71e96fc3e8c5e1e349b75f512745742352de2d03b60fc3ee")
 
     @staticmethod
     def per_sample_reference(n_samples, seed, noise=0.12, max_shift=3):

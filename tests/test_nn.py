@@ -415,6 +415,16 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("activation", ["linear", "tanh"])
+def test_checkpoint_metadata_cannot_set_activation(tmp_path, activation):
+    # the sidecar's activation is the model's own; metadata naming another
+    # would reload a ReLU model as linear, or write an unloadable checkpoint
+    path = tmp_path / "model.bin"
+    with pytest.raises(ParameterError, match="activation"):
+        save_checkpoint(random_model([5, 6, 3], seed=7), path, {"activation": activation})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_without_sidecar_is_rejected(tmp_path):
     # the activation is stored only in the sidecar; loading a linear model
     # as ReLU would silently change its predictions

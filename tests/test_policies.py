@@ -170,6 +170,26 @@ class TestAdaptiveDropout:
     def test_clamped_low(self):
         assert adaptive_keep_probs(np.array([-1e4]), 1.0, 0.0)[0] == 0.01
 
+    @staticmethod
+    def two_branch_sigmoid(x):
+        """The masked two-branch sigmoid, kept as the bitwise reference."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_keep_probs_match_two_branch_sigmoid_bitwise(self):
+        edges = [0.0, -0.0, 5e-324, -5e-324, 710.0, -710.0, 745.0, -745.0,
+                 np.inf, -np.inf, np.nan, -np.nan]
+        rng = stream(12, "z")
+        z = np.concatenate([edges] + [rng.standard_normal(4000) * s for s in (1, 40, 800)])
+        with np.errstate(all="ignore"):
+            expected = np.clip(self.two_branch_sigmoid(z), 0.01, 1.0)
+            got = adaptive_keep_probs(z, 1.0, 0.0)
+        assert got.tobytes() == expected.tobytes()
+
     def test_saturated_beta_is_exact_bitwise(self):
         model = nn.init_weights([5, 7, 3], seed=8)
         x = stream(9, "x").standard_normal((2, 5))
