@@ -157,6 +157,8 @@ def _resolve(config: dict) -> tuple[dict, ComputePolicy, Optimizer]:
     if kind == "synth_blobs" and (min(ds_cfg["n_features"], ds_cfg["n_classes"]) < 1
                                   or not ds_cfg["separation"] > 0):
         raise ParameterError("synth_blobs needs n_features, n_classes >= 1 and separation > 0")
+    if kind == "synth_digits" and ds_cfg["noise"] < 0:
+        raise ParameterError(f"synth_digits needs noise >= 0, got {ds_cfg['noise']}")
     if config["batch_size"] is None:
         config["batch_size"] = 20 if policy.name == "mc" else 1
     if config["optimizer"].get("learning_rate") is None:
@@ -174,13 +176,13 @@ def _resolve(config: dict) -> tuple[dict, ComputePolicy, Optimizer]:
 
 
 def build_dataset(cfg: dict, seed: int) -> data.Split:
-    """Build or load the dataset of a resolved config and split it in place:
-    train, test and validation are views of one buffer, which holds only the
-    rows the split uses."""
+    """Build or load the dataset of a resolved config and split it: train,
+    test and validation are views of one buffer, which holds only the rows
+    the split uses."""
     ds_cfg = cfg["dataset"]
     train_n, test_n, val_n = ds_cfg["train_n"], ds_cfg["test_n"], ds_cfg["val_n"]
     ds = DATASETS[ds_cfg["kind"]](ds_cfg, train_n + test_n + val_n, seed)
-    return data.split_in_place(ds, train_n, test_n, val_n, seed)
+    return data.split(ds, train_n, test_n, val_n, seed)
 
 
 def run_training(config: dict, out_dir: Path) -> analysis.TrainReport:

@@ -96,20 +96,10 @@ def write_idx(ds: Dataset, images_path, labels_path, rows=28, cols=28):
 def split(ds: Dataset, train_n: int, test_n: int, val_n: int, seed: int) -> Split:
     """Deterministic shuffle by seed, then partition into train/test/validation.
 
-    ds is left unchanged: this copies its arrays and runs split_in_place on the
-    copy, so the three parts are views of one new buffer.
-    """
-    return split_in_place(Dataset(ds.features.copy(), ds.labels.copy(), ds.n_classes),
-                          train_n, test_n, val_n, seed)
-
-
-def split_in_place(ds: Dataset, train_n: int, test_n: int, val_n: int, seed: int) -> Split:
-    """split for a caller that gives up ds: the same parts, without copying.
-
-    When the sizes add up to len(ds), ds's rows are permuted in place and the
-    parts are views of its arrays. Otherwise the used rows are gathered into
-    one new buffer, of which the parts are views, and ds's arrays are left as
-    they were.
+    The caller gives up ds. When the sizes add up to len(ds), ds's rows are
+    permuted in place and the parts are views of its arrays. Otherwise the
+    used rows are gathered into one new buffer, of which the parts are views,
+    and ds's arrays are left as they were.
     """
     total = train_n + test_n + val_n
     if min(train_n, test_n, val_n) < 0:
@@ -226,6 +216,8 @@ def synth_digits(n_samples, seed, noise=0.12) -> Dataset:
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be positive")
+    if not noise >= 0:
+        raise ParameterError(f"noise must be >= 0, got {noise}")
     rng = stream(seed, "digits")
     glyphs = np.stack([_glyph(d) for d in range(10)]).ravel()
     labels = rng.integers(0, 10, size=n_samples)

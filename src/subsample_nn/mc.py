@@ -52,24 +52,15 @@ def optimal_probs_cr(a, b) -> np.ndarray:
     return w / total
 
 
-def approx_matmul_cr(a, b, c_samples, rng, probs=None, indices=None):
-    """CR estimate of A @ B from c_samples with-replacement draws.
-
-    `indices` is a test hook that bypasses sampling and uses the given draw
-    sequence (e.g. an exhaustive pass with uniform probabilities).
-    """
+def approx_matmul_cr(a, b, c_samples, rng, probs=None):
+    """CR estimate of A @ B from c_samples with-replacement draws."""
     a, b = _check_pair(a, b)
     if c_samples < 1:
         raise ParameterError("c_samples must be at least 1")
     if probs is None:
         probs = optimal_probs_cr(a, b)
     probs = np.asarray(probs, dtype=np.float64)
-    if indices is None:
-        indices = rng_choice_weighted(rng, probs, size=c_samples)
-    else:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.shape != (c_samples,):
-            raise ParameterError("index override must supply exactly c_samples draws")
+    indices = rng_choice_weighted(rng, probs, size=c_samples)
     # each drawn rank-1 term is weighted by 1/(c p_j), split as 1/sqrt(c p_j)
     # onto the column and row factors
     factor = 1.0 / np.sqrt(c_samples * probs[indices])

@@ -151,6 +151,14 @@ class _ForcedUniforms:
         return out
 
 
+class _ForcedDraws:
+    def __init__(self, draws):
+        self.draws = draws
+
+    def choice(self, n, size, replace, p):
+        return np.array(self.draws, dtype=np.int64)
+
+
 def test_c03_unbiasedness_enumeration():
     with Timer() as t:
         worst = 0.0
@@ -177,8 +185,8 @@ def test_c03_unbiasedness_enumeration():
             mean = np.zeros((3, 3))
             for draws in product(range(3), repeat=2):
                 weight = float(np.prod(cr_probs[list(draws)]))
-                est, _ = mc.approx_matmul_cr(a, b, 2, None, probs=cr_probs,
-                                             indices=np.array(draws))
+                est, _ = mc.approx_matmul_cr(a, b, 2, _ForcedDraws(draws),
+                                             probs=cr_probs)
                 mean += weight * est
             worst = max(worst, np.abs(mean - exact).max())
     ok = worst <= 1e-12 and t.seconds < 5.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subsample_nn import mc, nn, policies
+from subsample_nn import cli, data, mc, nn, policies
 from subsample_nn.alsh import AlshParams, build_index, query_active
 from subsample_nn.data import split, synth_blobs
 from subsample_nn.linalg import stream
@@ -110,12 +110,30 @@ def test_mc_backward_calls_both_sampling_functions_per_product(monkeypatch):
     assert calls == dict.fromkeys(calls, 2 * layers - 1)
 
 
+def test_build_dataset_splits_through_the_boundary(monkeypatch):
+    # the traced data.split.* metrics time the split of every set-up
+    calls = []
+    original = data.split
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(data, "split", counted)
+    config = cli.resolve_config(cli.load_config(None, ["dataset.train_n=30", "dataset.test_n=20",
+                                                       "dataset.val_n=10"]))
+    sp = cli.build_dataset(config, 4)
+    assert calls == [(30, 20, 10, 4)]
+    assert (len(sp.train), len(sp.test), len(sp.validation)) == (30, 20, 10)
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_traced_worker_run_passes_its_checks(name):
     # the whole traced run, with the hooks wrapped; writes only .bench_out/
     result, error = bench_run.run_worker(name, 0, True, 120)
     assert result is not None, error
     assert bench_run.check(name, result) == []
+    assert result["layers"]["data.split.calls"] == workloads.SETUP_REPEATS
     if name == "alsh-b1":  # one query per sample and hidden layer
         assert result["layers"]["alsh.query_active.calls"] == (
             workloads.DATASET["train_n"] * workloads.ARCHITECTURE["hidden_layers"])

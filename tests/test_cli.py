@@ -103,6 +103,17 @@ class TestTrain:
         assert code == 2
         assert "bits must be at most 64, got 65" in capsys.readouterr().err
 
+    def test_negative_digit_noise_is_usage_error(self, blob_config, tmp_path, capsys,
+                                                 monkeypatch):
+        built = []
+        monkeypatch.setattr(cli.data, "synth_digits", lambda *a, **k: built.append(a))
+        out = tmp_path / "x"
+        code = run(["train", "--config", str(blob_config), "--out", str(out),
+                    "--set", "dataset.kind=synth_digits", "--set", "dataset.noise=-0.5"])
+        assert code == 2
+        assert "error: synth_digits needs noise >= 0, got -0.5" in capsys.readouterr().err
+        assert built == [] and not out.exists()  # refused before any data is built
+
     @pytest.mark.parametrize("setting", list(WORDING))
     def test_non_numeric_setting_is_usage_error(self, blob_config, tmp_path, capsys, setting):
         code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
@@ -288,6 +299,7 @@ class TestTrain:
         ("optimizer.kind=rmsprop", "unknown optimizer 'rmsprop'"),
         ("dataset.kind=nope", "unknown dataset kind 'nope'"),
         ("dataset.kind=[1]", "unknown dataset kind [1]"),
+        ("dataset.noise=-0.5", "synth_digits needs noise >= 0, got -0.5"),
     ])
     def test_resolve_makes_every_check_a_run_makes(self, setting, message):
         with pytest.raises(ParameterError, match=re.escape(message)):

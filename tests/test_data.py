@@ -139,31 +139,42 @@ class TestSplit:
         assert len(sp.train) == 60 and len(sp.test) == 25 and len(sp.validation) == 15
 
     def test_same_seed_identical(self):
-        ds = self.make_ds()
-        a = split(ds, 50, 30, 20, seed=7)
-        b = split(ds, 50, 30, 20, seed=7)
+        # split gives up its argument, so each split gets a fresh set
+        a = split(self.make_ds(), 50, 30, 20, seed=7)
+        b = split(self.make_ds(), 50, 30, 20, seed=7)
         np.testing.assert_array_equal(a.train.features, b.train.features)
         np.testing.assert_array_equal(a.test.labels, b.test.labels)
 
     def test_parts_disjoint_and_complete(self):
         ds = self.make_ds(80)
+        original = ds.features.copy()  # split permutes ds's rows
         sp = split(ds, 40, 25, 15, seed=3)
         merged = np.vstack([sp.train.features, sp.test.features, sp.validation.features])
         # every original sample appears exactly once in the union
-        original = ds.features[np.lexsort(ds.features.T)]
         recovered = merged[np.lexsort(merged.T)]
-        np.testing.assert_array_equal(original, recovered)
+        np.testing.assert_array_equal(original[np.lexsort(original.T)], recovered)
 
-    def test_dataset_left_unchanged(self):
+    def test_full_split_permutes_the_set_in_place(self):
         ds = self.make_ds()
-        features, labels = ds.features.copy(), ds.labels.copy()
-        split(ds, 50, 30, 20, seed=7)
+        order = stream(7, "split").permutation(100)
+        features, labels = ds.features[order], ds.labels[order]
+        sp = split(ds, 50, 30, 20, seed=7)
         assert ds.features.tobytes() == features.tobytes()
         assert ds.labels.tobytes() == labels.tobytes()
+        for part in (sp.train, sp.test, sp.validation):
+            assert part.features.base is ds.features
+            assert part.labels.base is ds.labels
+
+    def test_partial_split_leaves_the_set_unchanged(self):
+        ds = self.make_ds()
+        features, labels = ds.features.copy(), ds.labels.copy()
+        sp = split(ds, 50, 30, 10, seed=7)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+        assert not np.shares_memory(sp.train.features, ds.features)
 
     @pytest.mark.parametrize("sizes", [(60, 25, 15), (30, 12, 8), (0, 100, 0), (0, 0, 0)])
-    @pytest.mark.parametrize("in_place", [False, True])
-    def test_parts_are_the_permutation_prefix(self, sizes, in_place):
+    def test_parts_are_the_permutation_prefix(self, sizes):
         # the parts the parent commit gathered with one fancy index per part
         ds = self.make_ds(100)
         train_n, test_n, val_n = sizes
@@ -172,11 +183,7 @@ class TestSplit:
                   "validation": (train_n + test_n, sum(sizes))}
         expected = {name: (ds.features[order[lo:hi]], ds.labels[order[lo:hi]])
                     for name, (lo, hi) in bounds.items()}
-        if in_place:
-            sp = data.split_in_place(Dataset(ds.features.copy(), ds.labels.copy(), 4),
-                                     *sizes, seed=5)
-        else:
-            sp = split(ds, *sizes, seed=5)
+        sp = split(ds, *sizes, seed=5)
         for name, (features, labels) in expected.items():
             part = getattr(sp, name)
             assert part.features.tobytes() == features.tobytes(), name
@@ -264,3 +271,9 @@ class TestSynthDigits:
         features, labels = self.per_sample_reference(n, seed, noise=noise)
         assert ds.features.tobytes() == features.tobytes()
         assert ds.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("noise", [-0.5, -1e-300, float("nan")])
+    def test_negative_noise_is_rejected(self, noise):
+        # a negative scale flips the normals' sign: a different set, not less noise
+        with pytest.raises(ParameterError, match="noise must be >= 0"):
+            synth_digits(5, seed=0, noise=noise)

@@ -23,6 +23,18 @@ class ForcedUniforms:
         return out
 
 
+class ForcedDraws:
+    """rng stub whose .choice returns a preset draw tuple; lets tests walk the
+    production CR sampler through every with-replacement outcome."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def choice(self, n, size, replace, p):
+        assert replace and len(p) == n and size == len(self.draws)
+        return np.array(self.draws, dtype=np.int64)
+
+
 def enumerate_bernoulli(a, b, k, probs=None):
     """Expectation and variance of the production estimator over all outcomes."""
     if probs is None:
@@ -55,8 +67,7 @@ def enumerate_cr(a, b, c, probs=None):
         weight = float(np.prod(probs[list(draws)]))
         if weight == 0.0:
             continue
-        est, _ = approx_matmul_cr(a, b, c, None, probs=probs,
-                                  indices=np.array(draws))
+        est, _ = approx_matmul_cr(a, b, c, ForcedDraws(draws), probs=probs)
         mean += weight * est
     return mean
 
@@ -114,8 +125,7 @@ class TestApproxCR:
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 3))
         uniform = np.full(4, 0.25)
-        est, plan = approx_matmul_cr(a, b, 4, None, probs=uniform,
-                                     indices=np.arange(4))
+        est, plan = approx_matmul_cr(a, b, 4, ForcedDraws(range(4)), probs=uniform)
         np.testing.assert_allclose(est, a @ b, atol=1e-12)
         assert plan.indices.tolist() == [0, 1, 2, 3]
 
