@@ -8,8 +8,7 @@ from .alsh import (AlshIndex, AlshParams, build_index,
                    rebuild_schedule, transform_data, transform_query)
 from .data import Dataset, Split, load_idx, split, synth_blobs, synth_digits, write_idx
 from .errors import (DegenerateInputError, DimensionError, FormatError,
-                     NormBoundError, NumericError, ParameterError,
-                     PreconditionError, SubsampleNNError)
+                     NormBoundError, NumericError, ParameterError, SubsampleNNError)
 from .linalg import FLOPS, col_norms, matmul, row_norms, stream
 from .mc import (SamplePlan, approx_matmul_bernoulli, approx_matmul_cr,
                  bernoulli_error, optimal_probs_bernoulli, optimal_probs_cr)

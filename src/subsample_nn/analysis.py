@@ -1,6 +1,8 @@
 """Executable verification of the error-propagation theory, plus run metrics.
 
-The error analysis works on purely linear networks. Layer k's active inputs
+The error analysis works on purely linear networks: it reads a model's
+weights and biases as the theorem's linear maps x -> x @ W[k] + b[k], with no
+activation between them (nn's ReLU never runs here). Layer k's active inputs
 are a boolean keep mask M[k] with the shape of W[k], (fan_in, fan_out): entry
 (i, j) is True where input i of node j is active. The masked chain drops the
 terms outside the mask, and its activation error e obeys the recursion
@@ -21,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, PreconditionError
+from .errors import DimensionError, ParameterError
 from .linalg import stream
 from .nn import MlpModel, _as_batch, forward
 
@@ -45,18 +47,13 @@ class LayerErrorProfile:
         return self.direct[k - 1] / self.approx[k - 1]
 
 
-def _require_linear(model: MlpModel):
-    if model.hidden_activation != "linear":
-        raise PreconditionError("error analysis is defined for linear activations only")
-
-
 def lemma1_error(model: MlpModel, x, active_sets) -> LayerErrorProfile:
     """Measure masked-forward errors and re-derive them through the recursion.
 
+    model.weights and model.biases are read as the linear maps of the chain;
     active_sets[k-1] is layer k's keep mask. Biases are included in both
     chains; they cancel in the error.
     """
-    _require_linear(model)
     if len(active_sets) != model.n_layers:
         raise ParameterError("need one keep mask per layer")
     a = abar = np.asarray(x, dtype=np.float64)
@@ -108,15 +105,15 @@ def build_theorem1_network(c: int, depth: int, width: int):
     dims = [width] * (depth + 1)
     weights = [np.full((width, width), 1.0 / width) for _ in range(depth)]
     biases = [np.zeros(width) for _ in range(depth)]
-    model = MlpModel(dims, weights, biases, hidden_activation="linear")
+    model = MlpModel(dims, weights, biases)
     mask = np.zeros((width, width), dtype=bool)
     mask[: width * c // (c + 1)] = True
     return model, [mask.copy() for _ in range(depth)]
 
 
 def theorem1_check(model: MlpModel, active_sets, c: int):
-    """Per-layer ratio table with the measured and closed-form values."""
-    _require_linear(model)
+    """Per-layer ratio table with the measured and closed-form values, on
+    the linear chain of model.weights and model.biases."""
     x = np.ones(model.n_inputs)
     profile = lemma1_error(model, x, active_sets)
     rows = []

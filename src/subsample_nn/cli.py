@@ -147,8 +147,10 @@ def _resolve(config: dict) -> tuple[dict, ComputePolicy, Optimizer]:
     kind = ds_cfg["kind"]
     if not isinstance(kind, str) or kind not in DATASETS:
         raise ParameterError(f"unknown dataset kind {kind!r}")
-    if kind == "idx" and not (ds_cfg["images"] and ds_cfg["labels"]):
-        raise ParameterError("idx dataset needs 'images' and 'labels' paths")
+    if kind == "idx" and not all(isinstance(ds_cfg[key], str) and ds_cfg[key]
+                                 for key in ("images", "labels")):
+        raise ParameterError("idx dataset needs 'images' and 'labels' paths, as non-empty "
+                             f"strings, got {ds_cfg['images']!r} and {ds_cfg['labels']!r}")
     split_defaults = IDX_DEFAULT_SPLIT if kind == "idx" else DEFAULT_SPLIT
     ds_cfg.update({key: n for key, n in split_defaults.items() if ds_cfg[key] is None})
     sizes = [ds_cfg[key] for key in split_defaults]
@@ -273,7 +275,6 @@ def _lemma_suite(n_fixtures=100) -> bool:
         depth = int(rng.integers(1, 5))
         dims = [int(rng.integers(2, 17)) for _ in range(depth + 1)]
         model = init_weights(dims, seed=2000 + i)
-        model.hidden_activation = "linear"
         sets = analysis.random_active_sets(model, seed=3000 + i,
                                            keep_fraction=float(rng.uniform(0.3, 0.9)))
         x = rng.standard_normal(dims[0])

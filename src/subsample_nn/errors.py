@@ -57,9 +57,5 @@ class NormBoundError(SubsampleNNError):
     """A vector violates the norm bound required by a transform."""
 
 
-class PreconditionError(SubsampleNNError):
-    """An operation was called on inputs it is not defined for."""
-
-
 class NumericError(SubsampleNNError):
     """A computation produced NaN or Inf."""

@@ -6,9 +6,9 @@ by default; compute policies pass a node selector to forward, and MC backprop
 a product function to backward (see policies.py). A selector's keep array, 0
 on a dropped node and its scale on a kept one, is stored in the trace, and
 forward and backward multiply by it. Activations are batched row-wise: a
-(b, n) array holds b samples. The output layer always applies
-log-softmax and the loss is mean negative log-likelihood, so the output-layer
-delta is (softmax(z) - onehot) / batch.
+(b, n) array holds b samples. Every hidden layer applies ReLU; the output
+layer applies log-softmax and the loss is mean negative log-likelihood, so the
+output-layer delta is (softmax(z) - onehot) / batch.
 
 A model keeps all its weights and biases in one contiguous float64 buffer,
 `flat`, in layer order (w0, b0, w1, b1, ...); weights and biases are tuples
@@ -38,7 +38,6 @@ import numpy as np
 from .errors import DimensionError, FormatError, ParameterError, _read_block
 from .linalg import FLOPS, _product, matmul, require_finite, stream
 
-HIDDEN_ACTIVATIONS = ("relu", "linear")
 CHECKPOINT_MAGIC = b"MLPC"
 CHECKPOINT_VERSION = 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -84,13 +83,10 @@ class MlpModel(_FlatParameters):
     layer_dims: list[int]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    hidden_activation: str = "relu"
 
     def __post_init__(self):
         if len(self.layer_dims) < 2:
             raise ParameterError("need at least input and output dims")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ParameterError(f"unknown hidden activation {self.hidden_activation!r}")
         if len(self.weights) != len(self.layer_dims) - 1 or len(self.biases) != len(self.weights):
             raise ParameterError("weight/bias count must match layer count")
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -175,18 +171,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def apply_hidden(z, kind):
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
-def hidden_derivative(z, kind):
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
-
-
 def forward(model: MlpModel, x, select=None) -> ForwardTrace:
     """Forward pass over a sample or batch; exact unless `select` is given.
 
@@ -207,13 +191,13 @@ def forward(model: MlpModel, x, select=None) -> ForwardTrace:
     for k in range(model.n_layers - 1):
         w, b = model.weights[k], model.biases[k]
         if select is None:
-            a = apply_hidden(matmul(a, w) + b, model.hidden_activation)
+            a = np.maximum(matmul(a, w) + b, 0.0)
         else:
             keep, z = select(k, a)
             FLOPS.add(2 * w.shape[0] * np.count_nonzero(keep))
             if z is None:
                 z = a @ w + b
-            a = np.where(keep != 0, apply_hidden(z, model.hidden_activation) * keep, 0.0)
+            a = np.where(keep != 0, np.maximum(z, 0.0) * keep, 0.0)
             keeps.append(keep)
         acts.append(a)
     acts.append(log_softmax(matmul(a, model.weights[-1]) + model.biases[-1]))
@@ -271,7 +255,7 @@ def backward(model: MlpModel, trace: ForwardTrace, targets, product=None) -> Gra
         delta.sum(axis=0, out=grads.biases[k])
         if k > 0:
             upstream = product(k, delta, model.weights[k].T, None)
-            delta = upstream * hidden_derivative(trace.activations[k], model.hidden_activation)
+            delta = upstream * (trace.activations[k] > 0.0)
             if trace.keeps is not None:
                 keep = trace.keeps[k - 1]
                 delta = np.where(keep != 0, delta * keep, 0.0)
@@ -409,19 +393,20 @@ def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: versioned binary weights plus a JSON metadata sidecar.
+# Checkpoints: versioned binary weights plus a JSON metadata sidecar. The
+# binary alone describes the model; the sidecar is for readers.
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(model: MlpModel, path, metadata: dict | None = None):
-    if "activation" in (metadata or {}):  # the sidecar's activation is the model's own
+    if "activation" in (metadata or {}):  # the sidecar names the engine's own
         raise ParameterError("checkpoint metadata may not set 'activation'")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(model.layer_dims)))
         f.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
         f.write(model.flat.astype("<f8", copy=False).tobytes())  # w0, b0, w1, b1, ...
-    sidecar = {"activation": model.hidden_activation}
+    sidecar = {"activation": "relu"}
     sidecar.update(metadata or {})
     with open(str(path) + ".json", "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
@@ -446,14 +431,4 @@ def load_checkpoint(path) -> MlpModel:
             biases.append(_read_block(f, path, "<f8", fan_out, "bias block"))
         if f.read(1):
             raise FormatError(f"{path}: data after the last bias block, at byte {f.tell() - 1}")
-    # the activation lives only in the sidecar; a guessed one mispredicts
-    sidecar = str(path) + ".json"
-    try:
-        with open(sidecar) as f:
-            activation = json.load(f)["activation"]
-    except (OSError, ValueError, KeyError, TypeError):  # ValueError: not JSON
-        activation = None
-    if activation not in HIDDEN_ACTIVATIONS:
-        raise FormatError(f"{path}: metadata sidecar {sidecar} is missing, is not a JSON "
-                          f"object or names no hidden activation ({HIDDEN_ACTIVATIONS})")
-    return MlpModel(dims, weights, biases, activation)
+    return MlpModel(dims, weights, biases)

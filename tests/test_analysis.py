@@ -7,16 +7,10 @@ from subsample_nn.analysis import (PREDICT_ROWS, ConfusionMatrix,
                                    label_concentration, lemma1_error, predict,
                                    random_active_sets, theorem1_check)
 from subsample_nn.data import synth_blobs
-from subsample_nn.errors import DimensionError, ParameterError, PreconditionError
+from subsample_nn.errors import DimensionError, ParameterError
 from subsample_nn.linalg import FLOPS, stream
 
 RATIO_TABLE_C5 = [0.2, 0.44, 0.72, 1.07, 1.48, 1.98]  # reference rounding for c=5
-
-
-def linear_model(dims, seed):
-    model = nn.init_weights(dims, seed=seed)
-    model.hidden_activation = "linear"
-    return model
 
 
 def all_active_sets(model):
@@ -25,14 +19,14 @@ def all_active_sets(model):
 
 class TestLemmaRecursion:
     def test_all_active_zero_error(self):
-        model = linear_model([4, 5, 3], seed=0)
+        model = nn.init_weights([4, 5, 3], seed=0)
         profile = lemma1_error(model, np.ones(4), all_active_sets(model))
         for e in profile.direct:
             np.testing.assert_allclose(e, 0.0, atol=1e-14)
 
     def test_single_layer_omission_sum(self):
         # with one layer, the error of node j is exactly the omitted input mass
-        model = linear_model([6, 4], seed=1)
+        model = nn.init_weights([6, 4], seed=1)
         x = stream(2, "x").standard_normal(6)
         omitted = [1, 4]
         mask = np.ones((6, 4), dtype=bool)
@@ -46,7 +40,7 @@ class TestLemmaRecursion:
         for i in range(25):
             depth = int(rng.integers(1, 4))
             dims = [int(rng.integers(2, 9)) for _ in range(depth + 1)]
-            model = linear_model(dims, seed=100 + i)
+            model = nn.init_weights(dims, seed=100 + i)
             sets = random_active_sets(model, seed=200 + i,
                                       keep_fraction=float(rng.uniform(0.3, 0.9)))
             x = rng.standard_normal(dims[0])
@@ -58,7 +52,7 @@ class TestLemmaRecursion:
     def test_dropped_node_error_is_its_pre_bias_activation(self):
         # a node whose mask column is all False keeps only its bias, so its
         # direct error is the exact activation minus the bias
-        model = linear_model([5, 4, 3], seed=4)
+        model = nn.init_weights([5, 4, 3], seed=4)
         for k, b in enumerate(model.biases):
             b[:] = stream(5, "b", k).standard_normal(b.shape)
         x = stream(6, "x").standard_normal(5)
@@ -77,18 +71,24 @@ class TestLemmaRecursion:
 
     @pytest.mark.parametrize("shape", [(6,), (4, 6), (6, 4, 1)])
     def test_misshapen_mask_rejected(self, shape):
-        model = linear_model([6, 4], seed=1)
+        model = nn.init_weights([6, 4], seed=1)
         with pytest.raises(DimensionError, match=r"keep mask shape"):
             lemma1_error(model, np.ones(6), [np.ones(shape, dtype=bool)])
 
-    def test_nonlinear_rejected(self):
-        model = nn.init_weights([3, 4, 2], seed=0)  # relu
-        with pytest.raises(PreconditionError):
-            lemma1_error(model, np.ones(3), all_active_sets(model))
+    def test_weights_are_read_as_linear_maps(self):
+        # the chain applies no activation: negative hidden values pass through
+        model = nn.init_weights([3, 4, 2], seed=0)
+        x = stream(7, "x").standard_normal(3)
+        hidden = x @ model.weights[0] + model.biases[0]
+        assert (hidden < 0).any()
+        profile = lemma1_error(model, x, all_active_sets(model))
+        np.testing.assert_array_equal(profile.exact[0], hidden)
+        np.testing.assert_array_equal(profile.exact[1], hidden @ model.weights[1]
+                                      + model.biases[1])
 
     @pytest.mark.parametrize("keep_fraction", [1.5, 0.0, -0.2, float("nan")])
     def test_keep_fraction_outside_unit_interval_is_rejected(self, keep_fraction):
-        model = linear_model([4, 3, 2], seed=0)
+        model = nn.init_weights([4, 3, 2], seed=0)
         with pytest.raises(ParameterError, match="keep_fraction"):
             random_active_sets(model, seed=0, keep_fraction=keep_fraction)
 

@@ -13,6 +13,7 @@ import pytest
 from subsample_nn import analysis, cli
 from subsample_nn.data import synth_digits, write_idx
 from subsample_nn.errors import ParameterError
+from subsample_nn.nn import load_checkpoint
 
 
 @pytest.fixture
@@ -75,6 +76,22 @@ class TestTrain:
         summary = json.loads((out / "summary.json").read_text())
         assert "test_accuracy" in summary
         assert summary["test_accuracy"] > 0.9
+
+    @pytest.mark.parametrize("sidecar", ["kept", "deleted"])
+    def test_checkpoint_reloads_to_the_reported_accuracy(self, blob_config, tmp_path, sidecar):
+        # the binary alone describes the model: reloaded on the run's own
+        # split, it predicts the confusion matrix summary.json reports
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(blob_config), "--out", str(out),
+                    "--set", "dataset.separation=1.5"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        if sidecar == "deleted":
+            (out / "checkpoint.bin.json").unlink()
+        split = cli.build_dataset(summary["config"], summary["seed"])
+        cm = analysis.confusion(load_checkpoint(out / "checkpoint.bin"), split.test)
+        assert 0.5 < summary["test_accuracy"] < 1.0
+        assert cm.accuracy == summary["test_accuracy"]
+        assert cm.counts.tolist() == summary["confusion"]
 
     def test_zero_epochs_baseline_only(self, blob_config, tmp_path):
         out = tmp_path / "baseline"
@@ -222,6 +239,22 @@ class TestTrain:
         code = run(["train", "--out", str(tmp_path / "x"),
                     "--set", "dataset.kind=idx", "--set", "epochs=0"])
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["true", "7", '["a"]'])
+    def test_idx_path_that_is_not_a_string_is_usage_error(self, tmp_path, value):
+        # such a value reached open(): true and 7 are file descriptors. Run in
+        # a child, so a regression cannot close this process's descriptors
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "subsample_nn.cli", "train", "--out", str(tmp_path / "run"),
+             "--set", "dataset.kind=idx", "--set", f"dataset.images={value}",
+             "--set", f"dataset.labels={value}"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: idx dataset needs 'images' and 'labels' paths")
+        assert len(proc.stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_idx_header_is_runtime_error(self, tmp_path):
         # an images header declaring 2**31 images: one error line, no traceback

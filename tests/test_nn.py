@@ -18,9 +18,8 @@ from subsample_nn.nn import (MlpModel, Optimizer, backward,
                              save_checkpoint, step)
 
 
-def random_model(dims, seed, activation="relu"):
+def random_model(dims, seed):
     model = init_weights(dims, seed=seed)
-    model.hidden_activation = activation
     rng = stream(seed, "bias-noise")
     for b in model.biases:
         b += rng.standard_normal(b.shape) * 0.1
@@ -68,14 +67,16 @@ class TestForward:
         trace = forward(model, np.ones(4))
         np.testing.assert_allclose(trace.output, -np.log(10.0), atol=1e-12)
 
-    def test_linear_chain_matches_hand_product(self):
+    def test_relu_chain_matches_hand_product(self):
         rng = stream(1, "chain")
         w1, w2 = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
         b1, b2 = rng.standard_normal(4), rng.standard_normal(2)
-        model = MlpModel([3, 4, 2], [w1, w2], [b1, b2], hidden_activation="linear")
+        model = MlpModel([3, 4, 2], [w1, w2], [b1, b2])
         x = rng.standard_normal(3)
+        hidden = x @ w1 + b1
+        assert (hidden < 0).any() and (hidden > 0).any()  # the ReLU clips some nodes
         trace = forward(model, x)
-        expected = nn.log_softmax(((x @ w1 + b1) @ w2 + b2)[None, :])
+        expected = nn.log_softmax((np.maximum(hidden, 0.0) @ w2 + b2)[None, :])
         np.testing.assert_allclose(trace.output[0], expected[0], atol=1e-12)
 
     def test_relu_propagation(self):
@@ -112,14 +113,10 @@ class TestForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("dims,activation", [
-        ([5, 8, 3], "relu"),
-        ([4, 6, 6, 5], "relu"),
-        ([6, 16, 16, 16, 4], "relu"),
-        ([5, 7, 3], "linear"),
-    ])
-    def test_matches_finite_differences(self, dims, activation):
-        model = random_model(dims, seed=hash(tuple(dims)) % 1000, activation=activation)
+    @pytest.mark.parametrize("dims", [[5, 8, 3], [4, 6, 6, 5], [6, 16, 16, 16, 4]],
+                             ids=["dims0-relu", "dims1-relu", "dims2-relu"])
+    def test_matches_finite_differences(self, dims):
+        model = random_model(dims, seed=hash(tuple(dims)) % 1000)
         x = stream(17, "fd-x", len(dims)).standard_normal(dims[0])
         target = 1
         grads = backward(model, forward(model, x), target)
@@ -134,9 +131,8 @@ class TestBackward:
         z = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, np.inf, -np.inf])
         z = np.stack([z, z])
         mask = np.stack([np.ones(7, bool), np.arange(7) % 2 == 0])
-        a = np.where(mask, nn.apply_hidden(z, "relu") * scale, 0.0)
-        np.testing.assert_array_equal(nn.hidden_derivative(a, "relu")[mask],
-                                      nn.hidden_derivative(z, "relu")[mask])
+        a = np.where(mask, np.maximum(z, 0.0) * scale, 0.0)
+        np.testing.assert_array_equal((a > 0.0)[mask], (z > 0.0)[mask])
 
     def test_zero_input_sample(self):
         model = random_model([4, 3, 2], seed=5)
@@ -408,7 +404,6 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(model, path, {"seed": 6, "policy": "exact"})
     back = load_checkpoint(path)
     assert back.layer_dims == model.layer_dims
-    assert back.hidden_activation == model.hidden_activation
     for a, b in zip(model.weights, back.weights):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(model.biases, back.biases):
@@ -417,23 +412,11 @@ def test_checkpoint_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("activation", ["linear", "tanh"])
 def test_checkpoint_metadata_cannot_set_activation(tmp_path, activation):
-    # the sidecar's activation is the model's own; metadata naming another
-    # would reload a ReLU model as linear, or write an unloadable checkpoint
+    # the sidecar names the engine's ReLU; metadata may not name another
     path = tmp_path / "model.bin"
     with pytest.raises(ParameterError, match="activation"):
         save_checkpoint(random_model([5, 6, 3], seed=7), path, {"activation": activation})
     assert list(tmp_path.iterdir()) == []
-
-
-def test_checkpoint_without_sidecar_is_rejected(tmp_path):
-    # the activation is stored only in the sidecar; loading a linear model
-    # as ReLU would silently change its predictions
-    model = random_model([5, 6, 3], seed=7, activation="linear")
-    path = tmp_path / "model.bin"
-    save_checkpoint(model, path)
-    (tmp_path / "model.bin.json").unlink()
-    with pytest.raises(FormatError, match="model.bin.json"):
-        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("keep", [4 + 2, 4 + 8 + 4, 4 + 8 + 12 + 8 * 7],
@@ -451,10 +434,9 @@ def test_truncated_checkpoint_is_rejected(tmp_path, keep):
 
 def write_raw_checkpoint(path, dims, n_values):
     """A version-1 checkpoint of the given dims followed by n_values zero
-    float64s, written without the package, and a ReLU sidecar."""
+    float64s, written without the package and without a sidecar."""
     path.write_bytes(b"MLPC" + struct.pack(f"<II{len(dims)}I", 1, len(dims), *dims)
                      + bytes(8 * n_values))
-    path.with_name(path.name + ".json").write_text('{"activation": "relu"}')
 
 
 def test_checkpoint_declaring_more_than_the_file_holds_is_rejected(tmp_path):
@@ -481,15 +463,4 @@ def test_checkpoint_with_data_after_the_last_bias_block_is_rejected(tmp_path):
     size = path.stat().st_size
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(FormatError, match=f"data after the last bias block, at byte {size}"):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("sidecar", ['{not json', '[1,2]', '{"activation": "tanh"}',
-                                     '{"activation": 5}'],
-                         ids=["not-json", "list", "unknown-activation", "number"])
-def test_corrupt_checkpoint_sidecar_is_rejected(tmp_path, sidecar):
-    path = tmp_path / "model.bin"
-    save_checkpoint(random_model([5, 6, 3], seed=10), path)
-    (tmp_path / "model.bin.json").write_text(sidecar)
-    with pytest.raises(FormatError, match="model.bin.json"):
         load_checkpoint(path)

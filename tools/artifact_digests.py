@@ -8,7 +8,9 @@ and prints `sha256  path` for every file written there except `timing.csv`,
 whose columns are wall-clock seconds. Every other artifact is determined by
 (config, seed), so a change that should leave run outputs alone is checked by
 running this on an export of the parent commit and on the change, each into a
-new OUT, and diffing the two outputs.
+new OUT, and diffing the two outputs. It then runs `verify-theory --c 1,2,5
+--out theory` under OUT and digests its ratio CSVs and its stdout, kept in
+`theory/stdout.txt`, so the check covers the analysis path too.
 
 The runs: the five policies x {1, 3} hidden layers x batch {1, 7} at width 32
 on synth_digits 200/50/50 (2 epochs, seed 3, `mc` with k_samples=4), each
@@ -79,6 +81,12 @@ def main(argv) -> int:
         if code != 0:
             print(f"run {name} exited {code}", file=sys.stderr)
             return 1
+    (out / "theory").mkdir()
+    with open(out / "theory" / "stdout.txt", "w") as f, contextlib.redirect_stdout(f):
+        code = cli.main(["verify-theory", "--c", "1,2,5", "--out", "theory"])
+    if code != 0:
+        print(f"verify-theory exited {code}", file=sys.stderr)
+        return 1
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "timing.csv":
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
