@@ -1,6 +1,6 @@
 """CPU training engine for MLPs with exact or sampling-approximated products."""
 
-from .analysis import (ConfusionMatrix, LayerErrorProfile, TrainReport,
+from .analysis import (ConfusionMatrix, LayerErrorProfile, RunCounts, TrainReport,
                        build_theorem1_network, confusion, label_concentration,
                        lemma1_error, theorem1_check)
 from .alsh import (AlshIndex, AlshParams, build_index,
@@ -15,8 +15,7 @@ from .mc import (SamplePlan, approx_matmul_bernoulli, approx_matmul_cr,
 from .nn import (ForwardTrace, Gradients, MlpModel, Optimizer, backward, forward,
                  init_weights, load_checkpoint, nll_loss, save_checkpoint, step)
 from .policies import (AdaptiveDropoutPolicy, AlshPolicy, ComputePolicy,
-                       DropoutPolicy, McBackpropPolicy, RunCounts, adaptive_keep_probs,
-                       make_policy)
+                       DropoutPolicy, McBackpropPolicy, adaptive_keep_probs, make_policy)
 from .train import evaluate_accuracy, train
 
 __version__ = "0.1.0"

@@ -114,21 +114,10 @@ def build_theorem1_network(c: int, depth: int, width: int):
 def theorem1_check(model: MlpModel, active_sets, c: int):
     """Per-layer ratio table with the measured and closed-form values, on
     the linear chain of model.weights and model.biases."""
-    x = np.ones(model.n_inputs)
-    profile = lemma1_error(model, x, active_sets)
-    rows = []
-    for k in range(1, model.n_layers + 1):
-        ratios = profile.ratios(k)
-        expected_ratio = ((c + 1) / c) ** k - 1.0
-        growth = profile.exact[k - 1] / profile.approx[k - 1]
-        rows.append({
-            "k": k,
-            "ratio": float(ratios.mean()),
-            "expected_ratio": expected_ratio,
-            "growth": float(growth.mean()),
-            "expected_growth": ((c + 1) / c) ** k,
-        })
-    return rows
+    profile = lemma1_error(model, np.ones(model.n_inputs), active_sets)
+    return [{"k": k, "ratio": float(profile.ratios(k).mean()),
+             "expected_ratio": ((c + 1) / c) ** k - 1.0}
+            for k in range(1, model.n_layers + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +163,10 @@ def confusion(model: MlpModel, dataset) -> ConfusionMatrix:
     return ConfusionMatrix(counts)
 
 
-def label_concentration(cm: ConfusionMatrix):
-    """How many distinct labels the model actually predicts, and their ratios."""
-    hist = cm.predicted_histogram()
-    distinct = int((hist > 0).sum())
-    total = hist.sum()
-    ratios = hist / total if total else hist.astype(np.float64)
-    return distinct, ratios
+def label_concentration(cm: ConfusionMatrix) -> int:
+    """How many distinct labels the model actually predicts; labels.csv
+    holds each label's share."""
+    return int((cm.predicted_histogram() > 0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +174,18 @@ def label_concentration(cm: ConfusionMatrix):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TrainReport:
+class RunCounts:
+    """One training run's policy statistics: policies add to them, and the
+    run's TrainReport carries them."""
+
+    fallback_events: int = 0
+    rebuilds: int = 0
+    sampled_product_flops: int = 0
+    replaced_exact_flops: int = 0
+
+
+@dataclass(kw_only=True)
+class TrainReport(RunCounts):
     policy: dict
     epochs: int
     batch_size: int
@@ -202,11 +199,7 @@ class TrainReport:
     confusion: list  # nested lists for JSON friendliness
     label_histogram: list
     distinct_predicted_labels: int
-    active_set_fraction: float | None = None
-    fallback_events: int = 0
-    rebuilds: int = 0
-    sampled_product_flops: int = 0
-    replaced_exact_flops: int = 0
+    active_set_fraction: float | None  # None when no policy selects nodes
 
     def summary_dict(self) -> dict:
         """Deterministic summary: every field but the wall-clock times (those
@@ -233,11 +226,13 @@ def write_confusion_csv(cm_rows, path):
                ([t, p, int(count)] for t, row in enumerate(cm_rows) for p, count in enumerate(row)))
 
 
-def write_labels_csv(report: TrainReport, path):
-    total = sum(report.label_histogram) or 1
+def write_labels_csv(histogram, path):
+    """Each label's predicted count and its share of all predictions (0.0
+    for every label when there are none)."""
+    counts = [int(count) for count in histogram]
+    total = sum(counts) or 1
     _write_csv(path, ["label", "predicted_count", "ratio"],
-               ([lab, int(count), repr(count / total)]
-                for lab, count in enumerate(report.label_histogram)))
+               ([lab, count, repr(count / total)] for lab, count in enumerate(counts)))
 
 
 def write_ratio_csv(rows, path):

@@ -147,8 +147,9 @@ def _resolve(config: dict) -> tuple[dict, ComputePolicy, Optimizer]:
     kind = ds_cfg["kind"]
     if not isinstance(kind, str) or kind not in DATASETS:
         raise ParameterError(f"unknown dataset kind {kind!r}")
-    if kind == "idx" and not all(isinstance(ds_cfg[key], str) and ds_cfg[key]
-                                 for key in ("images", "labels")):
+    # every kind's settings are checked, whichever kind runs: summary.json keeps them all
+    if not all(isinstance(path, str) and path or path is None and kind != "idx"
+               for path in (ds_cfg["images"], ds_cfg["labels"])):
         raise ParameterError("idx dataset needs 'images' and 'labels' paths, as non-empty "
                              f"strings, got {ds_cfg['images']!r} and {ds_cfg['labels']!r}")
     split_defaults = IDX_DEFAULT_SPLIT if kind == "idx" else DEFAULT_SPLIT
@@ -156,10 +157,9 @@ def _resolve(config: dict) -> tuple[dict, ComputePolicy, Optimizer]:
     sizes = [ds_cfg[key] for key in split_defaults]
     if min(sizes) < 0 or (kind != "idx" and sum(sizes) < 1):
         raise ParameterError("split sizes must be >= 0, and sum to >= 1 for a synthetic set")
-    if kind == "synth_blobs" and (min(ds_cfg["n_features"], ds_cfg["n_classes"]) < 1
-                                  or not ds_cfg["separation"] > 0):
+    if min(ds_cfg["n_features"], ds_cfg["n_classes"]) < 1 or not ds_cfg["separation"] > 0:
         raise ParameterError("synth_blobs needs n_features, n_classes >= 1 and separation > 0")
-    if kind == "synth_digits" and ds_cfg["noise"] < 0:
+    if ds_cfg["noise"] < 0:
         raise ParameterError(f"synth_digits needs noise >= 0, got {ds_cfg['noise']}")
     if config["batch_size"] is None:
         config["batch_size"] = 20 if policy.name == "mc" else 1
@@ -207,7 +207,7 @@ def run_training(config: dict, out_dir: Path) -> analysis.TrainReport:
         f.write("\n")
     analysis.write_timing_csv(report, out_dir / "timing.csv")
     analysis.write_confusion_csv(report.confusion, out_dir / "confusion.csv")
-    analysis.write_labels_csv(report, out_dir / "labels.csv")
+    analysis.write_labels_csv(report.label_histogram, out_dir / "labels.csv")
     save_checkpoint(model, out_dir / "checkpoint.bin",
                     {"seed": seed, "policy": report.policy.get("kind", "exact")})
     return report
@@ -347,7 +347,7 @@ def cmd_matmul_bench(args) -> int:
     for t in range(args.trials):
         est, plan = mc.approx_matmul_bernoulli(a, b, args.k, stream(args.seed, "trial", t),
                                                probs=probs)
-        product_flops += 2 * args.m * plan.indices.size * args.p
+        product_flops += plan.flops
         diff = est - exact
         sq_err += float((diff * diff).sum())
     empirical = sq_err / args.trials

@@ -10,7 +10,8 @@ Two unbiased estimators of A @ B over the shared dimension n:
 
 A sampled product adds 2 * m * (#sampled) * p to the FLOP counter; probability
 construction costs are counted by the norm helpers it calls. Both return the
-estimate and a SamplePlan holding the indices the product used.
+estimate and a SamplePlan holding the indices the product used and the FLOPs
+it charged, the one definition of a sampled product's cost.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from .linalg import FLOPS, as_matrix, col_norms, rng_choice_weighted, row_norms
 
 @dataclass
 class SamplePlan:
-    """The shared-dimension indices one sampled product used."""
+    """The shared-dimension indices one sampled product used, and the FLOPs
+    it charged."""
 
     indices: np.ndarray
+    flops: int
 
 
 def _check_pair(a, b):
@@ -66,8 +69,9 @@ def approx_matmul_cr(a, b, c_samples, rng, probs=None):
     factor = 1.0 / np.sqrt(c_samples * probs[indices])
     left = a[:, indices] * factor
     right = b[indices, :] * factor[:, None]
-    FLOPS.add(2 * a.shape[0] * c_samples * b.shape[1])
-    return left @ right, SamplePlan(indices)
+    plan = SamplePlan(indices, 2 * a.shape[0] * c_samples * b.shape[1])
+    FLOPS.add(plan.flops)
+    return left @ right, plan
 
 
 def optimal_probs_bernoulli(a, b, k) -> np.ndarray:
@@ -119,11 +123,12 @@ def approx_matmul_bernoulli(a, b, k, rng, probs=None, out=None):
     draws = rng.random(probs.shape[0])
     kept = np.flatnonzero(draws < probs)
     scales = 1.0 / probs[kept]
-    FLOPS.add(2 * a.shape[0] * kept.size * b.shape[1])
+    plan = SamplePlan(kept, 2 * a.shape[0] * kept.size * b.shape[1])
+    FLOPS.add(plan.flops)
     if out is None:
         out = np.empty((a.shape[0], b.shape[1]))
     if kept.size:
         np.matmul(a[:, kept] * scales, b[kept, :], out=out)
     else:
         out[...] = 0.0
-    return out, SamplePlan(kept)
+    return out, plan

@@ -33,6 +33,7 @@ import numpy as np
 from . import alsh as alsh_mod
 from . import mc as mc_mod
 from . import nn
+from .analysis import RunCounts
 from .errors import ParameterError, _number
 from .linalg import FLOPS, as_matrix, stream
 
@@ -49,18 +50,6 @@ def adaptive_keep_probs(pre_activation, alpha, beta) -> np.ndarray:
     """Per-node keep probability sigmoid(alpha*z + beta), clamped to [0.01, 1]."""
     z = np.asarray(pre_activation, dtype=np.float64)
     return np.clip(_stable_sigmoid(alpha * z + beta), 0.01, 1.0)
-
-
-@dataclass
-class RunCounts:
-    """One training run's policy statistics."""
-
-    active_fraction_sum: float = 0.0  # per sample and hidden layer: kept / width
-    active_queries: int = 0  # (sample, hidden layer) pairs behind that sum
-    fallback_events: int = 0
-    rebuilds: int = 0
-    sampled_product_flops: int = 0
-    replaced_exact_flops: int = 0
 
 
 @dataclass(eq=False)
@@ -237,7 +226,7 @@ class McBackpropPolicy(ComputePolicy):
             probs = mc_mod.optimal_probs_bernoulli(a, b, k_eff)
         estimate, plan = mc_mod.approx_matmul_bernoulli(a, b, k_eff, self._rng, probs=probs,
                                                         out=out)
-        self._counts.sampled_product_flops += 2 * a.shape[0] * plan.indices.size * b.shape[1]
+        self._counts.sampled_product_flops += plan.flops
         self._counts.replaced_exact_flops += 2 * a.shape[0] * shared * b.shape[1]
         return estimate
 

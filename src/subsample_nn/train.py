@@ -4,26 +4,24 @@ Batch size 1 is plain stochastic descent; larger batches switch the per-step
 products to matrix-matrix form. Each call runs in a FLOPS.phase, which gets
 its modeled FLOPs and wall seconds; total_flops is the sum over phases. FLOPs
 are the hardware-independent numbers, wall seconds are informational. The
-loop owns the run's RunCounts record and fills the report's counters from it.
+loop owns the run's RunCounts record, which the report extends.
 """
 
 from __future__ import annotations
 
 import time
 
-from .analysis import TrainReport, confusion, label_concentration, predict
+from .analysis import RunCounts, TrainReport, confusion, label_concentration
 from .data import Split
 from .errors import ParameterError
 from .linalg import FLOPS, stream
 from .nn import MlpModel, Optimizer, step
-from .policies import ComputePolicy, RunCounts
+from .policies import ComputePolicy
 
 
 def evaluate_accuracy(model, dataset) -> float:
     """Accuracy of the exact network; policies only change training."""
-    if len(dataset) == 0:
-        return 0.0
-    return float((predict(model, dataset.features) == dataset.labels).mean())
+    return confusion(model, dataset).accuracy
 
 
 def train(model: MlpModel, split: Split, policy: ComputePolicy,
@@ -34,6 +32,7 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
         raise ParameterError("epochs must be non-negative")
 
     counts = RunCounts()
+    fraction_sum, queries = 0.0, 0  # kept / width, over (sample, hidden layer) pairs
     policy.bind(model, seed, counts)
     FLOPS.take()  # bind's index build and any earlier work are setup, not training
     run_start = time.perf_counter()
@@ -53,8 +52,8 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
             with FLOPS.phase("feedforward"):
                 trace = policy.forward(model, xb)
                 for keep in trace.keeps or ():
-                    counts.active_fraction_sum += (keep != 0).mean(axis=1).sum()
-                    counts.active_queries += idx.size
+                    fraction_sum += (keep != 0).mean(axis=1).sum()
+                    queries += idx.size
             with FLOPS.phase("backprop"):
                 grads = policy.backward(model, trace, yb)
             with FLOPS.phase("optimizer"):
@@ -68,7 +67,6 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
 
     with FLOPS.phase("eval"):
         cm = confusion(model, split.test)
-    distinct, _ = label_concentration(cm)
 
     total_seconds = time.perf_counter() - run_start
     phase_flops, phase_seconds = FLOPS.take()
@@ -86,11 +84,7 @@ def train(model: MlpModel, split: Split, policy: ComputePolicy,
         total_flops=sum(phase_flops.values()),
         confusion=cm.counts.tolist(),
         label_histogram=cm.predicted_histogram().tolist(),
-        distinct_predicted_labels=distinct,
-        active_set_fraction=(counts.active_fraction_sum / counts.active_queries
-                             if counts.active_queries else None),
-        fallback_events=counts.fallback_events,
-        rebuilds=counts.rebuilds,
-        sampled_product_flops=counts.sampled_product_flops,
-        replaced_exact_flops=counts.replaced_exact_flops,
+        distinct_predicted_labels=label_concentration(cm),
+        active_set_fraction=fraction_sum / queries if queries else None,
+        **vars(counts),
     )

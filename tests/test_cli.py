@@ -355,7 +355,19 @@ class TestTrain:
         with pytest.raises(ParameterError, match=re.escape(
                 "synth_blobs needs n_features, n_classes >= 1 and separation > 0")):
             cli.resolve_config(cli.load_config(None, ["dataset.kind=synth_blobs", setting]))
-        cli.resolve_config(cli.load_config(None, [setting]))  # synth_digits ignores them
+        with pytest.raises(ParameterError, match=re.escape(  # checked under any kind
+                "synth_blobs needs n_features, n_classes >= 1 and separation > 0")):
+            cli.resolve_config(cli.load_config(None, [setting]))
+
+    @pytest.mark.parametrize("settings,message", [
+        (["dataset.images=7"], "idx dataset needs 'images' and 'labels' paths"),
+        (["dataset.labels=[1]"], "idx dataset needs 'images' and 'labels' paths"),
+        (["dataset.kind=synth_blobs", "dataset.noise=-3"], "synth_digits needs noise >= 0"),
+    ], ids=["images", "labels", "noise"])
+    def test_settings_of_an_unselected_kind_are_checked(self, settings, message):
+        # summary.json keeps every dataset setting, whichever kind the run uses
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            cli.resolve_config(cli.load_config(None, settings))
 
     def test_seed_flag_is_applied_after_the_file_and_set(self, blob_config):
         assert cli.load_config(blob_config, ["seed=5"])["seed"] == 5

@@ -174,6 +174,33 @@ class TestApproxCR:
             est, (a[:, plan.indices] * scales) @ b[plan.indices, :], atol=1e-12)
 
 
+def charged(call):
+    """call()'s result, and the FLOPs it charged."""
+    with FLOPS.phase("product"):
+        result = call()
+    return result, FLOPS.take()[0]["product"]
+
+
+@pytest.mark.parametrize("uniforms", [None, [1.0] * 6], ids=["drawn", "nothing-kept"])
+def test_bernoulli_plan_flops_are_the_charged_flops(uniforms):
+    rng = stream(30, "plan-flops")
+    a, b = rng.standard_normal((4, 6)), rng.standard_normal((6, 5))
+    probs = optimal_probs_bernoulli(a, b, 3)
+    draws = stream(31, "draws") if uniforms is None else ForcedUniforms(uniforms)
+    (_, plan), flops = charged(lambda: approx_matmul_bernoulli(a, b, 3, draws, probs=probs))
+    assert plan.flops == flops
+    assert (flops == 0) == (uniforms is not None)
+
+
+def test_cr_plan_flops_are_the_charged_flops():
+    rng = stream(32, "plan-flops")
+    a, b = rng.standard_normal((4, 6)), rng.standard_normal((6, 5))
+    probs = optimal_probs_cr(a, b)
+    (_, plan), flops = charged(lambda: approx_matmul_cr(a, b, 3, stream(33, "draws"),
+                                                        probs=probs))
+    assert plan.flops == flops == 2 * 4 * 3 * 5
+
+
 def test_reusing_one_plan_for_both_directions_is_biased():
     """Documented anti-pattern: sampling the forward product and reusing the
     same realized plan inside the gradient makes the gradient biased.

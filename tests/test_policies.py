@@ -12,16 +12,7 @@ from subsample_nn.policies import (AdaptiveDropoutPolicy, AlshPolicy,
                                    McBackpropPolicy, RunCounts,
                                    adaptive_keep_probs, make_policy)
 from subsample_nn.train import evaluate_accuracy
-
-
-class ForcedUniforms:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, n):
-        out = np.array(self.values[:n], dtype=np.float64)
-        self.values = self.values[n:]
-        return out
+from test_mc import ForcedUniforms
 
 
 def grads_allclose(a, b, atol=1e-12):

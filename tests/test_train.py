@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from subsample_nn import alsh
+from subsample_nn import alsh, cli
 from subsample_nn.data import synth_blobs, split
 from subsample_nn.linalg import FLOPS
 from subsample_nn.nn import Optimizer, init_weights
@@ -112,6 +112,16 @@ def test_mc_counts_sampled_and_replaced_backprop_flops():
     exact = counter_run("exact", 7, 2)
     assert mc.sampled_product_flops == mc.phase_flops["backprop"] == 2383424
     assert mc.replaced_exact_flops == exact.phase_flops["backprop"] == 3302400
+
+
+@pytest.mark.parametrize("batch,flops", [(1, 22166144), (7, 12049920), (20, 4538880)])
+def test_mc_sampled_flops_counter_equals_the_metered_backprop(tmp_path, batch, flops):
+    # the counter adds each SamplePlan's flops, the meter what each product charged
+    sets = ["dataset.train_n=200", "dataset.test_n=50", "dataset.val_n=50",
+            "architecture.hidden_width=32", "epochs=2", "policy.kind=mc",
+            "policy.k_samples=4", f"batch_size={batch}"]
+    report = cli.run_training(cli.load_config(None, sets), tmp_path)
+    assert report.sampled_product_flops == report.phase_flops["backprop"] == flops
 
 
 def test_alsh_counts_one_fallback_per_sample_and_layer(monkeypatch):

@@ -10,7 +10,9 @@ whose columns are wall-clock seconds. Every other artifact is determined by
 running this on an export of the parent commit and on the change, each into a
 new OUT, and diffing the two outputs. It then runs `verify-theory --c 1,2,5
 --out theory` under OUT and digests its ratio CSVs and its stdout, kept in
-`theory/stdout.txt`, so the check covers the analysis path too.
+`theory/stdout.txt`, so the check covers the analysis path too, and digests
+the stdout of `matmul-bench --trials 2000`, kept in `matmul-bench.txt`, so it
+covers the sampled-product FLOP sum.
 
 The runs: the five policies x {1, 3} hidden layers x batch {1, 7} at width 32
 on synth_digits 200/50/50 (2 epochs, seed 3, `mc` with k_samples=4), each
@@ -82,11 +84,14 @@ def main(argv) -> int:
             print(f"run {name} exited {code}", file=sys.stderr)
             return 1
     (out / "theory").mkdir()
-    with open(out / "theory" / "stdout.txt", "w") as f, contextlib.redirect_stdout(f):
-        code = cli.main(["verify-theory", "--c", "1,2,5", "--out", "theory"])
-    if code != 0:
-        print(f"verify-theory exited {code}", file=sys.stderr)
-        return 1
+    commands = {"theory/stdout.txt": ["verify-theory", "--c", "1,2,5", "--out", "theory"],
+                "matmul-bench.txt": ["matmul-bench", "--trials", "2000"]}
+    for stdout, argv in commands.items():
+        with open(out / stdout, "w") as f, contextlib.redirect_stdout(f):
+            code = cli.main(argv)
+        if code != 0:
+            print(f"{argv[0]} exited {code}", file=sys.stderr)
+            return 1
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "timing.csv":
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
