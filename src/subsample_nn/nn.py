@@ -19,8 +19,10 @@ place, one equal contiguous slice per CPU of the process's affinity mask, on
 the calling thread and one worker thread per further CPU (numpy releases the
 GIL inside each ufunc). Each worker takes its slice of a step from its own
 queue; the workers are started on the first step and again in a forked child.
-The update is elementwise, so its bytes do not depend on the number of
-threads.
+Each thread runs its slice in tiles of _ADAM_TILE elements, with two
+tile-sized scratch arrays of its own, so that a tile's arrays stay in the
+core's L2 cache across the update's passes. The update is elementwise, so its
+bytes depend neither on the number of threads nor on the tile size.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ from .linalg import FLOPS, _product, matmul, require_finite, stream
 CHECKPOINT_MAGIC = b"MLPC"
 CHECKPOINT_VERSION = 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# elements: a tile's six float64 arrays take 1.875 MiB, inside a core's 2 MiB L2;
+# each tile costs one ufunc call per pass, and so GIL handoffs between the threads
+_ADAM_TILE = 40960
 
 
 def _parameters(weights, biases):
@@ -283,11 +288,13 @@ class Optimizer:
 
 @dataclass
 class _AdamState:
-    """Adam's moments m and v and two scratch arrays s and r, each laid out
-    like the parameters' flat buffer and cut into one contiguous slice per
-    thread: slices[j] is (lo, hi, m, v, s, r) for elements lo:hi. Worker j
-    takes slice j from its queue jobs[j] and answers on done; the calling
-    thread runs the last slice. The workers belong to the process pid."""
+    """Adam's moments m and v, laid out like the parameters' flat buffer and
+    cut into one contiguous slice per thread, and each slice's two scratch
+    arrays s and r of min(_ADAM_TILE, slice) elements: slices[j] is
+    (lo, hi, m, v, s, r) for elements lo:hi. Worker j takes slice j from its
+    queue jobs[j] and answers on done; the calling thread runs the last
+    slice. The workers belong to the process pid; a copy keeps the arrays
+    and starts its own workers on its first step."""
 
     size: int
     slices: list
@@ -295,19 +302,26 @@ class _AdamState:
     done: queue.SimpleQueue | None = None
     pid: int | None = None
 
+    def __getstate__(self):
+        # queues cannot be copied, and threads belong to their process
+        return dict(vars(self), jobs=[], done=None, pid=None)
+
 
 def _ensure_adam_state(opt: Optimizer, size: int, threads=None) -> _AdamState:
-    """Create the moments and the slices once, so that the step allocates
-    nothing: one equal slice per thread (default: per CPU this process may
-    run on). More slices per thread only add GIL handoffs."""
+    """Create the moments, the slices and their scratch once, so that the
+    step allocates nothing: one equal slice per thread (default: per CPU
+    this process may run on). More slices per thread only add GIL handoffs."""
     if opt._adam is None:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         n = min(threads or cpus, size)
-        m, v, s, r = np.zeros(size), np.zeros(size), np.empty(size), np.empty(size)
+        m, v = np.zeros(size), np.zeros(size)
         bounds = [j * size // n for j in range(n + 1)]
-        opt._adam = _AdamState(size, [(lo, hi, m[lo:hi], v[lo:hi], s[lo:hi], r[lo:hi])
-                                      for lo, hi in zip(bounds, bounds[1:])])
+        slices = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            tile = min(_ADAM_TILE, hi - lo)
+            slices.append((lo, hi, m[lo:hi], v[lo:hi], np.empty(tile), np.empty(tile)))
+        opt._adam = _AdamState(size, slices)
     if opt._adam.size != size:
         raise ParameterError(f"optimizer state holds {opt._adam.size} parameters, "
                              f"the model {size}")
@@ -315,11 +329,11 @@ def _ensure_adam_state(opt: Optimizer, size: int, threads=None) -> _AdamState:
 
 
 def _adam_worker(jobs, done):
-    """Run _adam_slice on each job from jobs until a None, answering on done
+    """Run _adam_tiles on each job from jobs until a None, answering on done
     with None or the exception it raised."""
     while (job := jobs.get()) is not None:
         try:
-            _adam_slice(*job)
+            _adam_tiles(*job)
             answer = None
         except Exception as exc:  # step re-raises it on the calling thread
             answer = exc
@@ -327,13 +341,22 @@ def _adam_worker(jobs, done):
         done.put(answer)
 
 
+def _adam_tiles(p, g, m, v, s, r, eta, bias1, bias2):
+    """_adam_slice on one thread's slice p, g, m, v, in tiles of s.size
+    elements (the last one may be shorter), with s and r as the scratch."""
+    for lo in range(0, p.size, s.size):
+        n = min(s.size, p.size - lo)
+        hi = lo + n
+        _adam_slice(p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], s[:n], r[:n], eta, bias1, bias2)
+
+
 def _adam_slice(p, g, m, v, s, r, eta, bias1, bias2):
-    """Adam on one slice, in place, with the rounding of m = m*b1 + (1-b1)*g,
-    v = v*b2 + ((1-b2)*g)*g and p -= (eta*(m/bias1)) / (sqrt(v/bias2)+eps).
-    Every operation is elementwise, so neither the slices nor the threads
-    change a bit. From step 356 on, bias1 is exactly 1.0 and m / bias1 is m,
-    so that division is skipped. Runs on worker threads: numpy only, no
-    FLOPS."""
+    """Adam on one tile, in place, with the rounding of m = m*b1 + (1-b1)*g,
+    v = v*b2 + ((1-b2)*g)*g and p -= (eta*(m/bias1)) / (sqrt(v/bias2)+eps);
+    s and r are scratch of the tile's size. Every operation is elementwise,
+    so neither the slices, the tiles nor the threads change a bit. From step
+    356 on, bias1 is exactly 1.0 and m / bias1 is m, so that division is
+    skipped. Runs on worker threads: numpy only, no FLOPS."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     np.multiply(m, b1, out=m)
     np.multiply(g, 1.0 - b1, out=s)
@@ -384,7 +407,7 @@ def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
     for jobs, job in zip(state.jobs, work):
         jobs.put(job)
     try:
-        _adam_slice(*work[-1])
+        _adam_tiles(*work[-1])
     finally:
         answers = [state.done.get() for _ in state.jobs]
     for answer in answers:

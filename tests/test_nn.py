@@ -255,6 +255,45 @@ class TestOptimizers:
         for got, want in zip(updated, reference):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("tile", [1, 7, 50, 200])
+    def test_adam_tiles_match_reference(self, monkeypatch, tile, threads):
+        # 194 parameters, in slices of 194, 97 or 64-65: 7 and 50 leave a
+        # short last tile in every slice, 200 is larger than any slice; 400
+        # steps run into bias1 == 1.0
+        monkeypatch.setattr(nn, "_ADAM_TILE", tile)
+        updated, reference, state = self._adam_against_reference(threads, steps=400,
+                                                                 dims=(12, 8, 10))
+        for got, want in zip(updated, reference):
+            assert got.tobytes() == want.tobytes()
+        assert len(state.slices) == threads
+        for lo, hi, m, v, s, r in state.slices:
+            assert s.size == r.size == min(tile, hi - lo)
+            assert m.size == v.size == hi - lo
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["deepcopy", "pickle"])
+    def test_stepped_adam_optimizer_copies(self, clone):
+        # a copy holds its own moments and starts its own workers, and then
+        # steps as the original does
+        model = init_weights([40, 16, 10], seed=1)
+        opt = Optimizer("adam", 1e-3)
+        nn._ensure_adam_state(opt, model.flat.size, threads=3)
+        step(opt, model, backward(model, forward(model, np.ones(40)), 0))
+        opt_copy, model_copy = clone(opt), clone(model)
+        for target in (1, 2):
+            grads = backward(model, forward(model, np.ones(40)), target)
+            step(opt, model, grads)
+            step(opt_copy, model_copy, grads)
+            assert model_copy.flat.tobytes() == model.flat.tobytes()
+        assert opt_copy.step_count == opt.step_count == 3
+        assert len(opt_copy._adam.jobs) == 2 and opt_copy._adam.done is not opt._adam.done
+        for ours, theirs in zip(opt._adam.slices, opt_copy._adam.slices):
+            for a, b in zip(ours[2:], theirs[2:]):
+                assert not np.shares_memory(a, b)
+            for a, b in zip(ours[2:4], theirs[2:4]):
+                assert a.tobytes() == b.tobytes()
+
     def test_adam_threads_beyond_cpus_under_frequent_switches(self):
         # more threads than CPUs, with the interpreter switching threads as
         # often as it can: the slices are disjoint, so the bytes cannot change

@@ -16,9 +16,10 @@ covers the sampled-product FLOP sum.
 
 The runs: the five policies x {1, 3} hidden layers x batch {1, 7} at width 32
 on synth_digits 200/50/50 (2 epochs, seed 3, `mc` with k_samples=4), each
-benchmark workload's config at seed 0, the determinism clause's config, and a
+benchmark workload's config at seed 0, the determinism clause's config, a
 dropout run on an IDX pair written by `write_idx` that holds more rows than
-the split uses.
+the split uses, and the default config (3x1000, batch 1) on synth_digits
+50/20/20 for 1 epoch, whose Adam step runs each thread's slice in many tiles.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ SMALL = ["dataset.kind=synth_digits", "dataset.train_n=200", "dataset.test_n=50"
 C11 = ["dataset.kind=synth_digits", "dataset.train_n=400", "dataset.test_n=100",
        "dataset.val_n=100", "architecture.hidden_layers=1", "architecture.hidden_width=64",
        "policy.kind=alsh", "epochs=1", "seed=17"]
+DEFAULT_WIDTH = ["dataset.train_n=50", "dataset.test_n=20", "dataset.val_n=20", "epochs=1"]
 
 
 def runs() -> dict:
@@ -59,6 +61,7 @@ def runs() -> dict:
     out["idx-dropout"] = SMALL + ["dataset.kind=idx", f"dataset.images={images}",
                                   f"dataset.labels={labels}", "policy.kind=dropout",
                                   "architecture.hidden_layers=1"]
+    out["default-width"] = DEFAULT_WIDTH
     return out
 
 
