@@ -73,17 +73,22 @@ def test_confusion_transient_does_not_grow_with_the_set(traced):
 
 
 @pytest.mark.parametrize("kind", ["exact", "alsh", "mc"])
-def test_train_holds_one_gradient_buffer(traced, kind):
-    # Adam's moments take 2x the parameters' bytes, its scratch at most two
-    # tiles per thread, and one step's gradients 1x; a step's gradients still
-    # live while the next backward allocates, or scratch the size of the
-    # parameters, would each add 1x
+def test_train_holds_one_gradient_buffer(traced, monkeypatch, kind):
+    # Adam's moments take 2x the parameters' bytes, its scratch two tiles per
+    # thread, and one step's gradients 1x; a step's gradients still live
+    # while the next backward allocates would add 1x, and scratch the size of
+    # the parameters is the 2x the tiles replace. Two threads on any host:
+    # their slices of 67397 elements each hold more than a tile
     model = nn.init_weights([784, 128, 128, 128, 10], seed=1)
     sp = split(synth_digits(30, seed=1), 10, 10, 10, seed=1)
     optimizer = nn.Optimizer("adam", 1e-3)
+    ensure = nn._ensure_adam_state
+    monkeypatch.setattr(nn, "_ensure_adam_state",
+                        lambda opt, size: ensure(opt, size, threads=2))
     peak, _ = transient_peak(train, model, sp, make_policy(kind), optimizer, 1, 1, 0)
     parameter_bytes = model.flat.nbytes
-    tile_bytes = 2 * len(optimizer._adam.slices) * nn._ADAM_TILE * 8
-    assert peak < 3.4 * parameter_bytes + tile_bytes, (
+    scratch = sum(s.nbytes + r.nbytes for *_, s, r in optimizer._adam.slices)
+    assert scratch < 2 * parameter_bytes
+    assert peak < 3.4 * parameter_bytes + scratch, (
         f"peak {peak / parameter_bytes:.2f}x the parameters, "
-        f"tiles {tile_bytes / parameter_bytes:.2f}x")
+        f"scratch {scratch / parameter_bytes:.2f}x")
