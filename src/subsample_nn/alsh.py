@@ -57,17 +57,48 @@ def transform_data(w, pad_terms, scale=1.0) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     # a vector goes through as a one-row matrix: numpy's power rounds a
     # broadcast base and a contiguous one apart, and the index broadcasts
-    rows = as_matrix(w[None] if w.ndim == 1 else w)
-    out = _padded(rows, np.linalg.norm(rows, axis=1, keepdims=True) / scale, pad_terms, scale)
+    out, norms = _copy_with_norms(_matrix(w[None] if w.ndim == 1 else w), pad_terms)
+    _scale_and_pad(out, norms / scale, pad_terms, scale)
     return out[0] if w.ndim == 1 else out
 
 
-def _padded(w, norms, pad_terms, scale):
-    """Rows of w / scale, each followed by powers of its scaled norm (norms: one column)."""
+def _matrix(x) -> np.ndarray:
+    """x as a float64 2-D array, without a copy when it is one already (a
+    W.T view stays a view)."""
+    m = np.asarray(x, dtype=np.float64)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-D array, got ndim={m.ndim}")
+    return m
+
+
+_NORM_BLOCK = 1 << 14  # elements squared at a time for the row norms
+
+
+def _copy_with_norms(rows, pad_terms):
+    """An (n, dim + pad_terms) buffer whose leading columns hold a copy of
+    rows and whose tail is zero, and the rows' norms (one column). Squaring
+    whole rows of the buffer a block at a time and summing each block's
+    leading columns is np.linalg.norm's pairwise reduction, without a
+    temporary the size of the rows."""
+    n, dim = rows.shape
+    out = np.empty((n, dim + pad_terms))
+    out[:, dim:] = 0.0
+    as_matrix(rows, out=out[:, :dim])
+    norms = np.empty((n, 1))
+    step = max(1, _NORM_BLOCK // out.shape[1])
+    for i in range(0, n, step):
+        block = out[i : i + step]
+        np.add.reduce((block * block)[:, :dim], axis=1, keepdims=True, out=norms[i : i + step])
+    return out, np.sqrt(norms, out=norms)
+
+
+def _scale_and_pad(out, norms, pad_terms, scale):
+    """Divide out (zero-tailed) by scale in place, then write powers of the
+    scaled norms (one column) into its last pad_terms columns."""
     if norms.max(initial=0.0) > 1.0 + 1e-12:  # initial: a matrix may have no rows
         raise NormBoundError(f"scaled norm {norms.max():.6f} exceeds 1")
-    pads = norms ** (2.0 ** np.arange(1, pad_terms + 1))
-    return np.concatenate([w / scale, pads], axis=-1)
+    out /= scale  # all of it: numpy would divide the strided leading columns through a copy
+    out[:, out.shape[1] - pad_terms :] = norms ** (2.0 ** np.arange(1, pad_terms + 1))
 
 
 def transform_query(a, pad_terms) -> np.ndarray:
@@ -101,7 +132,7 @@ def build_index(columns, params: AlshParams, seed: int) -> AlshIndex:
     The shared scale is max column norm / norm_bound, so the largest column
     lands exactly on the bound and everything fits in the unit ball.
     """
-    cols = as_matrix(columns)
+    cols = _matrix(columns)
     if cols.shape[0] == 0:
         raise ParameterError("need at least one column")
     rng = stream(seed, "alsh-proj")
@@ -112,20 +143,20 @@ def build_index(columns, params: AlshParams, seed: int) -> AlshIndex:
 
 def rebuild_index(index: AlshIndex, columns) -> AlshIndex:
     """Re-bucket updated columns under the index's existing projections."""
-    cols = as_matrix(columns)
+    cols = _matrix(columns)
     if cols.shape[1] != index.dim:
         raise DimensionError(f"column length {cols.shape[1]} != indexed {index.dim}")
     return _fill_tables(cols, index.params, index.projections)
 
 
 def _fill_tables(cols, params, projections):
-    norms = np.linalg.norm(cols, axis=1, keepdims=True)
+    """Transform the columns in one padded buffer, then hash them."""
+    out, norms = _copy_with_norms(cols, params.pad_terms)
     FLOPS.add(2 * cols.size)
     max_norm = float(norms.max())
     scale = max_norm / params.norm_bound if max_norm > 0 else 1.0
-    transformed = _padded(cols, norms / scale, params.pad_terms, scale)
-    return AlshIndex(params, cols.shape[1], scale, projections,
-                     _signatures(transformed, projections))
+    _scale_and_pad(out, norms / scale, params.pad_terms, scale)
+    return AlshIndex(params, cols.shape[1], scale, projections, _signatures(out, projections))
 
 
 def query_active(index: AlshIndex, a) -> np.ndarray:

@@ -72,22 +72,29 @@ class FlopCounter:
 FLOPS = FlopCounter()
 
 
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array. numpy's copy of a transposed
+def as_matrix(x, out=None) -> np.ndarray:
+    """Coerce to a C-contiguous float64 2-D array; given out, a float64 array
+    of x's shape whose rows may lie apart (the leading columns of a wider
+    buffer), copy x into out and return it. numpy's copy of a transposed
     operand (such as W.T) reads x.shape[0] * 8 bytes apart; when that stride is
     a multiple of 512 bytes the reads crowd into a few cache sets. Such a copy
     of at least 128x128 is made 32 columns at a time, in about half the time."""
-    if (type(x) is np.ndarray and not x.flags.c_contiguous and x.flags.f_contiguous
-            and x.ndim == 2 and x.shape[0] % 64 == 0 and min(x.shape) >= 128
-            and x.dtype == np.float64):
-        m = np.empty(x.shape)
-        for i in range(0, x.shape[1], 32):
-            m[:, i : i + 32] = x[:, i : i + 32]
+    blocked = (type(x) is np.ndarray and not x.flags.c_contiguous and x.flags.f_contiguous
+               and x.ndim == 2 and x.shape[0] % 64 == 0 and min(x.shape) >= 128
+               and x.dtype == np.float64)
+    if out is None and not blocked:
+        m = np.ascontiguousarray(x, dtype=np.float64)
+        if m.ndim != 2:
+            raise DimensionError(f"expected a 2-D array, got ndim={m.ndim}")
         return m
-    m = np.ascontiguousarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D array, got ndim={m.ndim}")
-    return m
+    if out is None:
+        out = np.empty(x.shape)
+    if not blocked:
+        out[...] = x
+        return out
+    for i in range(0, x.shape[1], 32):
+        out[:, i : i + 32] = x[:, i : i + 32]
+    return out
 
 
 def as_vector(x) -> np.ndarray:

@@ -73,14 +73,29 @@ class TestTransforms:
 
 
 class TestMatrixTransform:
-    @pytest.mark.parametrize("shape", [(1, 3), (64, 32), (128, 784)])
-    def test_index_signatures_come_from_transform_data(self, shape):
+    @pytest.mark.parametrize("shape, transposed", [
+        pytest.param((1, 3), False, id="shape0"),
+        pytest.param((64, 32), False, id="shape1"),
+        pytest.param((128, 784), False, id="shape2"),
+        # a 784 -> 128 layer's weights as AlshPolicy passes them: the W.T view
+        pytest.param((784, 128), True, id="weights-T")])
+    def test_index_signatures_come_from_transform_data(self, shape, transposed):
         cols = stream(shape[0], "cols").standard_normal(shape)
+        cols = cols.T if transposed else cols
         params = AlshParams()
         idx = build_index(cols, params, seed=4)
         expected = _signatures(transform_data(cols, params.pad_terms, idx.scale),
                                idx.projections)
         np.testing.assert_array_equal(idx.signatures, expected)
+        # the reference: a contiguous copy, its norms, the scaled copy and the
+        # pads concatenated, each a new array
+        copy = np.ascontiguousarray(cols)
+        norms = np.linalg.norm(copy, axis=1, keepdims=True)
+        scale = float(norms.max()) / params.norm_bound
+        pads = (norms / scale) ** (2.0 ** np.arange(1, params.pad_terms + 1))
+        reference = np.concatenate([copy / scale, pads], axis=-1)
+        assert idx.scale == scale
+        assert idx.signatures.tobytes() == _signatures(reference, idx.projections).tobytes()
 
     def test_matrix_rows_match_vector_transform(self):
         rng = stream(11, "rows")

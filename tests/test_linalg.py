@@ -98,6 +98,11 @@ class TestAsMatrix:
         m = as_matrix(x)
         assert m.flags.c_contiguous and m.shape == shape
         assert m.tobytes() == np.ascontiguousarray(x).tobytes()
+        # into the leading columns of a wider buffer, whose rows lie apart
+        wide = np.zeros((shape[0], shape[1] + 3))
+        assert as_matrix(x, out=wide[:, : shape[1]]).base is wide
+        assert np.ascontiguousarray(wide[:, : shape[1]]).tobytes() == m.tobytes()
+        assert not wide[:, shape[1] :].any()
 
     def test_strided_and_integer_operands(self):
         x = np.arange(256 * 256).reshape(256, 256)

@@ -18,8 +18,10 @@ The runs: the five policies x {1, 3} hidden layers x batch {1, 7} at width 32
 on synth_digits 200/50/50 (2 epochs, seed 3, `mc` with k_samples=4), each
 benchmark workload's config at seed 0, the determinism clause's config, a
 dropout run on an IDX pair written by `write_idx` that holds more rows than
-the split uses, and the default config (3x1000, batch 1) on synth_digits
-50/20/20 for 1 epoch, whose Adam step runs each thread's slice in many tiles.
+the split uses, the default config (3x1000, batch 1) on synth_digits
+50/20/20 for 1 epoch, whose Adam step runs each thread's slice in many tiles,
+and the same config with `alsh` on synth_digits 200/20/20, whose indexes are
+rebuilt after samples 100 and 200 at the paper's width.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ C11 = ["dataset.kind=synth_digits", "dataset.train_n=400", "dataset.test_n=100",
        "dataset.val_n=100", "architecture.hidden_layers=1", "architecture.hidden_width=64",
        "policy.kind=alsh", "epochs=1", "seed=17"]
 DEFAULT_WIDTH = ["dataset.train_n=50", "dataset.test_n=20", "dataset.val_n=20", "epochs=1"]
+ALSH_WIDTH = ["dataset.train_n=200", "dataset.test_n=20", "dataset.val_n=20", "epochs=1",
+              "policy.kind=alsh"]
 
 
 def runs() -> dict:
@@ -62,6 +66,7 @@ def runs() -> dict:
                                   f"dataset.labels={labels}", "policy.kind=dropout",
                                   "architecture.hidden_layers=1"]
     out["default-width"] = DEFAULT_WIDTH
+    out["alsh-width"] = ALSH_WIDTH
     return out
 
 
