@@ -76,10 +76,10 @@ _NORM_BLOCK = 1 << 14  # elements squared at a time for the row norms
 
 def _copy_with_norms(rows, pad_terms):
     """An (n, dim + pad_terms) buffer whose leading columns hold a copy of
-    rows and whose tail is zero, and the rows' norms (one column). Squaring
-    whole rows of the buffer a block at a time and summing each block's
-    leading columns is np.linalg.norm's pairwise reduction, without a
-    temporary the size of the rows."""
+    rows, and the rows' norms (one column). Squaring whole rows of the
+    buffer a block at a time (its tail is zeroed for that) and summing each
+    block's leading columns is np.linalg.norm's pairwise reduction, without
+    a temporary the size of the rows."""
     n, dim = rows.shape
     out = np.empty((n, dim + pad_terms))
     out[:, dim:] = 0.0
@@ -93,8 +93,8 @@ def _copy_with_norms(rows, pad_terms):
 
 
 def _scale_and_pad(out, norms, pad_terms, scale):
-    """Divide out (zero-tailed) by scale in place, then write powers of the
-    scaled norms (one column) into its last pad_terms columns."""
+    """Divide out by scale in place, then write powers of the scaled norms
+    (one column) into its last pad_terms columns."""
     if norms.max(initial=0.0) > 1.0 + 1e-12:  # initial: a matrix may have no rows
         raise NormBoundError(f"scaled norm {norms.max():.6f} exceeds 1")
     out /= scale  # all of it: numpy would divide the strided leading columns through a copy
