@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NormBoundError, ParameterError
-from .linalg import FLOPS, as_matrix, as_vector, stream
+from .linalg import FLOPS, as_vector, stream
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,16 @@ class AlshParams:
     norm_bound: float = 0.83
 
     def __post_init__(self):
-        if self.bits < 1 or self.tables < 1 or self.pad_terms < 1:
-            raise ParameterError("bits, tables, and pad_terms must be at least 1")
+        # each message names the policy setting (AlshPolicy's K, L, m, C) and the field
+        for name, value in (("K (bits)", self.bits), ("L (tables)", self.tables),
+                            ("m (pad_terms)", self.pad_terms)):
+            if value < 1:
+                raise ParameterError(f"{name} must be at least 1, got {value}")
         if self.bits > 64:  # bucket ids are int64 bit patterns
-            raise ParameterError(f"bits must be at most 64, got {self.bits}")
+            raise ParameterError(f"K (bits) must be at most 64, got {self.bits}")
         if not 0.0 < self.norm_bound < 1.0:
-            raise ParameterError("norm_bound must lie strictly between 0 and 1")
+            raise ParameterError("C (norm_bound) must lie strictly between 0 and 1, "
+                                 f"got {self.norm_bound}")
 
 
 @dataclass
@@ -83,7 +87,7 @@ def _copy_with_norms(rows, pad_terms):
     n, dim = rows.shape
     out = np.empty((n, dim + pad_terms))
     out[:, dim:] = 0.0
-    as_matrix(rows, out=out[:, :dim])
+    out[:, :dim] = rows
     norms = np.empty((n, 1))
     step = max(1, _NORM_BLOCK // out.shape[1])
     for i in range(0, n, step):

@@ -414,8 +414,8 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SubsampleNNError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SubsampleNNError, OSError, MemoryError) as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
 
 

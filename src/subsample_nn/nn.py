@@ -17,8 +17,9 @@ and bias gradient straight into its view. The optimizer step runs on the
 whole buffer at once: the Adam step updates the moments and parameters in
 place, one equal contiguous slice per CPU of the process's affinity mask, on
 the calling thread and one worker thread per further CPU (numpy releases the
-GIL inside each ufunc). Each worker takes its slice of a step from its own
-queue; the workers are started on the first step and again in a forked child.
+GIL inside each ufunc). The worker threads belong to the process, not to an
+optimizer: a step starts those it lacks, hands each its slice on the
+worker's own queue and collects the answers on a queue of the step's own.
 Each thread runs its slice in tiles of _ADAM_TILE elements, with two
 tile-sized scratch arrays of its own, so that a tile's arrays stay in the
 core's L2 cache across the update's passes. The update is elementwise, so its
@@ -32,7 +33,6 @@ import os
 import queue
 import struct
 import threading
-import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -277,7 +277,8 @@ class Optimizer:
     kind: str = "sgd"  # "sgd" or "adam"
     learning_rate: float = 1e-3
     step_count: int = 0
-    _adam: "_AdamState | None" = field(default=None, repr=False, compare=False)
+    # Adam's moments, cut into slices: see _ensure_adam_state
+    _adam: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -286,52 +287,41 @@ class Optimizer:
             raise ParameterError("learning rate must be positive and finite")
 
 
-@dataclass
-class _AdamState:
+def _ensure_adam_state(opt: Optimizer, size: int, threads=None) -> list:
     """Adam's moments m and v, laid out like the parameters' flat buffer and
-    cut into one contiguous slice per thread, and each slice's two scratch
-    arrays s and r of min(_ADAM_TILE, slice) elements: slices[j] is
-    (lo, hi, m, v, s, r) for elements lo:hi. Worker j takes slice j from its
-    queue jobs[j] and answers on done; the calling thread runs the last
-    slice. The workers belong to the process pid; a copy keeps the arrays
-    and starts its own workers on its first step."""
-
-    size: int
-    slices: list
-    jobs: list = field(default_factory=list)
-    done: queue.SimpleQueue | None = None
-    pid: int | None = None
-
-    def __getstate__(self):
-        # queues cannot be copied, and threads belong to their process
-        return dict(vars(self), jobs=[], done=None, pid=None)
-
-
-def _ensure_adam_state(opt: Optimizer, size: int, threads=None) -> _AdamState:
-    """Create the moments, the slices and their scratch once, so that the
-    step allocates nothing: one equal slice per thread (default: per CPU
-    this process may run on). More slices per thread only add GIL handoffs."""
+    cut into one equal contiguous slice per thread (default: per CPU this
+    process may run on; more slices per thread only add GIL handoffs), each
+    with two scratch arrays s and r of min(_ADAM_TILE, slice) elements: a list
+    of (lo, hi, m, v, s, r) for elements lo:hi. Created once, so that the
+    step allocates nothing."""
     if opt._adam is None:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         n = min(threads or cpus, size)
         m, v = np.zeros(size), np.zeros(size)
         bounds = [j * size // n for j in range(n + 1)]
-        slices = []
+        opt._adam = []
         for lo, hi in zip(bounds, bounds[1:]):
             tile = min(_ADAM_TILE, hi - lo)
-            slices.append((lo, hi, m[lo:hi], v[lo:hi], np.empty(tile), np.empty(tile)))
-        opt._adam = _AdamState(size, slices)
-    if opt._adam.size != size:
-        raise ParameterError(f"optimizer state holds {opt._adam.size} parameters, "
+            opt._adam.append((lo, hi, m[lo:hi], v[lo:hi], np.empty(tile), np.empty(tile)))
+    if opt._adam[-1][1] != size:
+        raise ParameterError(f"optimizer state holds {opt._adam[-1][1]} parameters, "
                              f"the model {size}")
     return opt._adam
 
 
-def _adam_worker(jobs, done):
-    """Run _adam_tiles on each job from jobs until a None, answering on done
-    with None or the exception it raised."""
-    while (job := jobs.get()) is not None:
+# One job queue per Adam worker thread, shared by every optimizer of the
+# process; a forked child inherits the queues but not the threads.
+_ADAM_WORKERS: list[queue.SimpleQueue] = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_ADAM_WORKERS.clear)
+
+
+def _adam_worker(jobs):
+    """Run _adam_tiles on each job from jobs, for ever, answering on the
+    job's own queue with None or the exception it raised."""
+    while True:
+        job, done = jobs.get()
         try:
             _adam_tiles(*job)
             answer = None
@@ -389,27 +379,24 @@ def step(optimizer: Optimizer, model: MlpModel, grads: Gradients):
         optimizer.step_count += 1
         return
 
-    state = _ensure_adam_state(optimizer, p.size)
+    slices = _ensure_adam_state(optimizer, p.size)
     optimizer.step_count += 1
     t = optimizer.step_count
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    work = [(p[lo:hi], g[lo:hi], *moments, eta, bias1, bias2)
-            for lo, hi, *moments in state.slices]
-    if len(work) > 1 and state.pid != os.getpid():
-        # the first step, or the first in a forked child, which inherits the
-        # queues but not the threads
-        state.jobs = [queue.SimpleQueue() for _ in work[:-1]]
-        state.done, state.pid = queue.SimpleQueue(), os.getpid()
-        for jobs in state.jobs:
-            threading.Thread(target=_adam_worker, args=(jobs, state.done), daemon=True).start()
-            weakref.finalize(state, jobs.put, None)  # the worker ends with its state
-    for jobs, job in zip(state.jobs, work):
-        jobs.put(job)
+    work = [(p[lo:hi], g[lo:hi], *moments, eta, bias1, bias2) for lo, hi, *moments in slices]
+    while len(_ADAM_WORKERS) < len(work) - 1:  # two threads stepping at once may start a spare
+        _ADAM_WORKERS.append(queue.SimpleQueue())
+        threading.Thread(target=_adam_worker, args=(_ADAM_WORKERS[-1],), daemon=True).start()
+    # this step's own answers: one that an interrupt leaves behind lands
+    # where no later step reads
+    done = queue.SimpleQueue()
+    for jobs, job in zip(_ADAM_WORKERS, work[:-1]):
+        jobs.put((job, done))
     try:
         _adam_tiles(*work[-1])
     finally:
-        answers = [state.done.get() for _ in state.jobs]
+        answers = [done.get() for _ in work[:-1]]
     for answer in answers:
         if answer is not None:
             raise answer

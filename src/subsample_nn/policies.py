@@ -8,7 +8,8 @@ a kept one: a hidden layer computes only its kept nodes, the rest are exactly
 zero for the step, and gradients flow only through kept nodes. The Monte-Carlo
 policy defines `_sampled_product`, nn.backward's product: the forward pass is
 exact and each backprop matrix product is a Bernoulli-sampled estimate. The
-output layer is always computed exactly under every policy.
+output layer's forward product is exact under every policy; MC samples its
+two backprop products as it does a hidden layer's.
 
 FLOP accounting: nn.forward and nn.backward charge masked hidden-layer
 products 2 * fan_in per kept node (skipped nodes cost nothing) and products

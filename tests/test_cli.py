@@ -118,7 +118,22 @@ class TestTrain:
         code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
                     "--set", "policy.kind=alsh", "--set", "policy.K=65"])
         assert code == 2
-        assert "bits must be at most 64, got 65" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: K (bits) must be at most 64, got 65\n"
+
+    @pytest.mark.parametrize("setting, message", [
+        ("K=0", "K (bits) must be at least 1, got 0"),
+        ("L=0", "L (tables) must be at least 1, got 0"),
+        ("m=0", "m (pad_terms) must be at least 1, got 0"),
+        ("K=65", "K (bits) must be at most 64, got 65"),
+        ("C=1.0", "C (norm_bound) must lie strictly between 0 and 1, got 1.0")])
+    def test_alsh_range_error_names_its_setting(self, blob_config, tmp_path, capsys, setting,
+                                                message):
+        # as every other policy's range error does (p_keep must be in (0,1])
+        code = run(["train", "--config", str(blob_config), "--out", str(tmp_path / "x"),
+                    "--set", "policy.kind=alsh", "--set", f"policy.{setting}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_negative_digit_noise_is_usage_error(self, blob_config, tmp_path, capsys,
                                                  monkeypatch):
@@ -274,6 +289,15 @@ class TestTrain:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.splitlines() == [f"error: {images}: truncated data at byte 16 "
                                             "(wants 1683627180032 bytes, 15680 left)"]
+
+    def test_split_too_large_to_allocate_is_runtime_error(self, tmp_path, capsys):
+        # the first array of 10**15 samples needs 8 PB, past any address space,
+        # so its allocation fails at once: one error line, no traceback
+        code = run(["train", "--out", str(tmp_path / "run"),
+                    "--set", f"dataset.train_n={10**15}"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_idx_with_bytes_after_its_labels_is_runtime_error(self, tmp_path):
         # 20 labels end at byte 28; a longer file is not loaded truncated

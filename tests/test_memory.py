@@ -96,7 +96,7 @@ def test_train_holds_one_gradient_buffer(traced, monkeypatch, kind, train_n):
                         lambda opt, size: ensure(opt, size, threads=2))
     peak, _ = transient_peak(train, model, sp, make_policy(kind), optimizer, 1, 1, 0)
     parameter_bytes = model.flat.nbytes
-    scratch = sum(s.nbytes + r.nbytes for *_, s, r in optimizer._adam.slices)
+    scratch = sum(s.nbytes + r.nbytes for *_, s, r in optimizer._adam)
     assert scratch < 2 * parameter_bytes
     assert peak < 3.4 * parameter_bytes + scratch, (
         f"peak {peak / parameter_bytes:.2f}x the parameters, "

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import signal
 import struct
 import gc
 import sys
@@ -244,8 +245,8 @@ class TestOptimizers:
         updated, reference, state = self._adam_against_reference(threads)
         for got, want in zip(updated, reference):
             assert got.tobytes() == want.tobytes()
-        assert len(state.slices) == threads
-        assert len(state.jobs) == threads - 1
+        assert len(state) == threads
+        assert len(nn._ADAM_WORKERS) >= threads - 1
 
     def test_adam_matches_reference_once_bias1_is_one(self):
         # from step 356 on 1 - 0.9**t rounds to 1.0 and the step skips m / bias1
@@ -266,16 +267,15 @@ class TestOptimizers:
                                                                  dims=(12, 8, 10))
         for got, want in zip(updated, reference):
             assert got.tobytes() == want.tobytes()
-        assert len(state.slices) == threads
-        for lo, hi, m, v, s, r in state.slices:
+        assert len(state) == threads
+        for lo, hi, m, v, s, r in state:
             assert s.size == r.size == min(tile, hi - lo)
             assert m.size == v.size == hi - lo
 
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
                              ids=["deepcopy", "pickle"])
     def test_stepped_adam_optimizer_copies(self, clone):
-        # a copy holds its own moments and starts its own workers, and then
-        # steps as the original does
+        # a copy holds its own moments, and then steps as the original does
         model = init_weights([40, 16, 10], seed=1)
         opt = Optimizer("adam", 1e-3)
         nn._ensure_adam_state(opt, model.flat.size, threads=3)
@@ -287,8 +287,8 @@ class TestOptimizers:
             step(opt_copy, model_copy, grads)
             assert model_copy.flat.tobytes() == model.flat.tobytes()
         assert opt_copy.step_count == opt.step_count == 3
-        assert len(opt_copy._adam.jobs) == 2 and opt_copy._adam.done is not opt._adam.done
-        for ours, theirs in zip(opt._adam.slices, opt_copy._adam.slices):
+        assert len(opt_copy._adam) == len(opt._adam) == 3
+        for ours, theirs in zip(opt._adam, opt_copy._adam):
             for a, b in zip(ours[2:], theirs[2:]):
                 assert not np.shares_memory(a, b)
             for a, b in zip(ours[2:4], theirs[2:4]):
@@ -303,7 +303,7 @@ class TestOptimizers:
             start = time.perf_counter()
             updated, reference, state = self._adam_against_reference(4)
             assert time.perf_counter() - start < 60
-            assert len(state.slices) == 4
+            assert len(state) == 4
         finally:
             sys.setswitchinterval(interval)
         for got, want in zip(updated, reference):
@@ -350,19 +350,56 @@ class TestOptimizers:
             del grads
             assert buffer() is None
 
-    def test_adam_workers_end_with_their_optimizer(self):
+    def test_adam_workers_belong_to_the_process(self):
+        # optimizers share the workers: one stepped after another was dropped
+        # starts no thread of its own
         model = init_weights([40, 16, 10], seed=1)
+        grads = backward(model, forward(model, np.ones(40)), 0)
+        threads = []
+        for _ in range(3):
+            opt = Optimizer("adam", 1e-3)
+            nn._ensure_adam_state(opt, model.flat.size, threads=3)
+            step(opt, model, grads)
+            threads.append(set(threading.enumerate()))
+            del opt
+            gc.collect()
+        assert threads[2] == threads[1] == threads[0]
+        assert len(nn._ADAM_WORKERS) >= 2
+
+    def test_interrupted_step_leaves_the_next_step_in_sync(self, monkeypatch):
+        # an interrupt while a step waits for its worker leaves that worker's
+        # answer behind; no later step may take it for its own and return
+        # while its own slice is still being written
+        model = init_weights([40, 16, 10], seed=1)
+        grads = backward(model, forward(model, np.ones(40)), 0)
         opt = Optimizer("adam", 1e-3)
-        nn._ensure_adam_state(opt, model.flat.size, threads=3)
-        before = set(threading.enumerate())
-        step(opt, model, backward(model, forward(model, np.ones(40)), 0))
-        workers = set(threading.enumerate()) - before
-        assert len(workers) == 2
-        del opt
-        gc.collect()
-        for worker in workers:
-            worker.join(timeout=30)
-            assert not worker.is_alive()
+        nn._ensure_adam_state(opt, model.flat.size, threads=2)
+        step(opt, model, grads)
+        adam_slice, ran = nn._adam_slice, []
+
+        def slow_on_a_worker(*job):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker:
+                time.sleep(0.3)
+            adam_slice(*job)
+            if on_worker:
+                ran.append(1)
+
+        monkeypatch.setattr(nn, "_adam_slice", slow_on_a_worker)
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            interrupt = threading.Timer(0.1, signal.pthread_kill,
+                                        (threading.main_thread().ident, signal.SIGINT))
+            interrupt.start()
+            with pytest.raises(KeyboardInterrupt):
+                step(opt, model, grads)
+            interrupt.join(timeout=30)
+            assert not interrupt.is_alive()
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        for done in (2, 3, 4):  # the interrupted step's slice, then each step's own
+            step(opt, model, grads)
+            assert len(ran) == done
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("rebind", ["model-weight", "model-bias", "grad-weight",
